@@ -5,13 +5,11 @@ and hyperviscosity stabilization, and Fourier pseudo-spectral benchmarks.
 """
 
 from .phicore import PhiCache, PhiTable, phi_scalar, phi_table
-from .integrators import (FAMILIES, EXPONENTIAL_FAMILIES, DiagonalProblem,
-                          MethodSpec, make_method, esdc_tableau, epbm_tableau,
-                          imrk_tableau, epbm_v_coefficients, integrate,
-                          IntegrationResult)
-from .spectral import (PeriodicGrid, SemilinearSpectralProblem,
-                       dealiased_product, build_zds, build_kdv,
-                       RepartitionSpec, apply_repartition,
+from .integrators import (FAMILIES, METHODS, DiagonalProblem, MethodSpec,
+                          make_method, esdc_tableau, epbm_tableau,
+                          imrk_tableau, integrate, IntegrationResult)
+from .spectral import (PeriodicGrid, dealiased_product, build_zds, build_kdv,
+                       RepartitionSpec, repartition_shift, apply_repartition,
                        HyperviscositySpec, apply_hyperviscosity,
                        spectral_radius_fraction, write_spectrum,
                        read_spectrum)
@@ -27,11 +25,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PhiCache", "PhiTable", "phi_scalar", "phi_table",
-    "FAMILIES", "EXPONENTIAL_FAMILIES", "DiagonalProblem", "MethodSpec",
-    "make_method", "esdc_tableau", "epbm_tableau", "imrk_tableau",
-    "epbm_v_coefficients", "integrate", "IntegrationResult",
-    "PeriodicGrid", "SemilinearSpectralProblem", "dealiased_product",
-    "build_zds", "build_kdv", "RepartitionSpec", "apply_repartition",
+    "FAMILIES", "METHODS", "DiagonalProblem", "MethodSpec", "make_method",
+    "esdc_tableau", "epbm_tableau", "imrk_tableau", "integrate",
+    "IntegrationResult", "PeriodicGrid", "dealiased_product", "build_zds",
+    "build_kdv", "RepartitionSpec", "repartition_shift", "apply_repartition",
     "HyperviscositySpec", "apply_hyperviscosity", "spectral_radius_fraction",
     "write_spectrum", "read_spectrum",
     "DahlquistPoint", "RepartitionAngle", "stability_scalar",

@@ -19,10 +19,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .integrators import FAMILIES, make_method, integrate
+from .integrators import FAMILIES, METHODS, make_method, integrate
 from .spectral import (RepartitionSpec, HyperviscositySpec, build_zds,
-                       build_kdv, apply_repartition, apply_hyperviscosity,
-                       write_spectrum, read_spectrum)
+                       build_kdv, write_spectrum, read_spectrum)
 from . import stability as stab
 
 __all__ = [
@@ -38,8 +37,7 @@ EXIT_REFERENCE = 3
 EXIT_ALL_BLOWUP = 4
 
 # default stability-map windows (k2 band per method, k1 in (0, 60])
-K2_BANDS = {"erk4": 12.0, "esdc6": 25.0, "epbm5": 4.0, "imrk4": 12.0,
-            "rk4": 12.0, "exp_euler": 12.0}
+K2_BANDS = {family: spec.k2_band for family, spec in METHODS.items()}
 
 
 class ConfigError(Exception):
@@ -87,34 +85,17 @@ def _build_problem(problem: str, nx: int):
 
 # --- single-run task (picklable description, rebuilt inside workers) ---------
 
-def _mod_tuple(mod) -> tuple:
-    if mod is None:
-        return ("none",)
-    if isinstance(mod, RepartitionSpec):
-        return ("rep", mod.kind, mod.rho, mod.epsilon)
-    if isinstance(mod, HyperviscositySpec):
-        return ("hyper", mod.m, mod.gamma, mod.q)
-    raise ConfigError("unknown modification: %r" % (mod,))
-
-
-def _mod_from_tuple(t):
-    if t[0] == "none":
-        return None
-    if t[0] == "rep":
-        return RepartitionSpec(kind=t[1], rho=t[2], epsilon=t[3])
-    return HyperviscositySpec(m=t[1], gamma=t[2], q=t[3])
-
-
 def _mod_describe(mod) -> str:
     return "none" if mod is None else mod.describe()
 
 
 def _run_single(task: tuple) -> dict:
-    (problem_name, nx, family, n_steps, t_end, mod_t, sample_times) = task
+    (problem_name, nx, family, n_steps, t_end, mod, sample_times) = task
     problem, u0 = _build_problem(problem_name, nx)
-    mod = _mod_from_tuple(mod_t)
     rep = mod if isinstance(mod, RepartitionSpec) else None
     hyper = mod if isinstance(mod, HyperviscositySpec) else None
+    if mod is not None and rep is None and hyper is None:
+        raise ConfigError("unknown modification: %r" % (mod,))
     start = time.perf_counter()
     res = integrate(problem, make_method(family), u0, (0.0, t_end), n_steps,
                     repartition=rep, hyperviscosity=hyper,
@@ -151,8 +132,8 @@ def ensure_reference(problem: str, nx: int, method: str, n_steps: int,
                          % (problem, nx, method, n_steps, digest))
 
     if not os.path.isdir(entry):
-        res = _run_single((problem, nx, method, n_steps, t_end,
-                           ("none",), sample_times))
+        res = _run_single((problem, nx, method, n_steps, t_end, None,
+                           sample_times))
         if not res["ok"]:
             raise ReferenceFailure(
                 "reference run (%s, n=%d) blew up at step %s"
@@ -210,9 +191,8 @@ def run_convergence(problem: str = "zds", nx: int = 128, t_end: float = 40.0,
                           "experiment step count")
     ref = ensure_reference(problem, nx, ref_method, ref_steps, t_end, [t_end])
     y_ref = ref[0][1]
-    mod_t = _mod_tuple(modification)
     mod_s = _mod_describe(modification)
-    tasks = [(problem, nx, m, n, t_end, mod_t, None)
+    tasks = [(problem, nx, m, n, t_end, modification, None)
              for m in methods for n in steps]
     results = _run_many(tasks, workers)
 
@@ -266,7 +246,7 @@ def run_longtime(problem: str = "kdv", nx: int = 512, t_end: float = 160.0,
     sample_times = [t_end * i / n_samples for i in range(1, n_samples + 1)]
     ref = ensure_reference(problem, nx, ref_method, ref_steps, t_end,
                            sample_times)
-    tasks = [(problem, nx, m, n_steps, t_end, _mod_tuple(mod), sample_times)
+    tasks = [(problem, nx, m, n_steps, t_end, mod, sample_times)
              for (m, mod) in runs]
     results = _run_many(tasks, workers)
 
@@ -303,9 +283,9 @@ def run_stability_maps(methods: Sequence[str], rhos: Sequence[float],
     for m in methods:
         band = k2_max if k2_max is not None else K2_BANDS[m]
         for rho in rhos:
-            angle = stab.RepartitionAngle(rho) if rho else None
             grid = stab.region_grid(make_method(m), (k1_max / n1, k1_max),
-                                    (0.0, band), resolution, angle)
+                                    (0.0, band), resolution,
+                                    stab.RepartitionAngle(rho))
             path = os.path.join(out_dir, "stability-%s-rho%.10g.csv" % (m, rho))
             stab.grid_to_csv(grid, path)
             paths.append(path)
@@ -316,8 +296,8 @@ def run_solve(problem: str, nx: int, method: str, n_steps: int, t_end: float,
               modification=None, out_path=None):
     """Single integration; snapshot written with a blow-up flag if needed."""
     _check_methods([method])
-    res = _run_single((problem, nx, method, n_steps, t_end,
-                       _mod_tuple(modification), [t_end]))
+    res = _run_single((problem, nx, method, n_steps, t_end, modification,
+                       [t_end]))
     if out_path:
         status = "ok" if res["ok"] else "blowup"
         write_spectrum(out_path, problem, res["t"], res["y"], status=status)
@@ -436,6 +416,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description="partitioned exponential integrator experiments")
     parser.add_argument("--config", help="key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
+    run = argparse.ArgumentParser(add_help=False)    # flags of every run
+    run.add_argument("--problem")
+    run.add_argument("--nx", type=int)
+    run.add_argument("--t-end", dest="t_end", type=float)
 
     p = sub.add_parser("stability", help="classified stability-region maps")
     p.add_argument("--methods")
@@ -444,10 +428,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.add_argument("--k2-max", dest="k2_max", type=float)
     p.add_argument("--out")
 
-    p = sub.add_parser("converge", help="fixed-step refinement study")
-    p.add_argument("--problem")
-    p.add_argument("--nx", type=int)
-    p.add_argument("--t-end", dest="t_end", type=float)
+    p = sub.add_parser("converge", parents=[run],
+                       help="fixed-step refinement study")
     p.add_argument("--methods")
     p.add_argument("--steps")
     p.add_argument("--repartition")
@@ -457,10 +439,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.add_argument("--workers", type=int)
     p.add_argument("--out")
 
-    p = sub.add_parser("longtime", help="error-vs-time series")
-    p.add_argument("--problem")
-    p.add_argument("--nx", type=int)
-    p.add_argument("--t-end", dest="t_end", type=float)
+    p = sub.add_parser("longtime", parents=[run], help="error-vs-time series")
     p.add_argument("--steps", help="single step count")
     p.add_argument("--runs", help="semicolon list: method[:modspec];...")
     p.add_argument("--n-samples", dest="n_samples", type=int)
@@ -469,22 +448,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.add_argument("--workers", type=int)
     p.add_argument("--out")
 
-    p = sub.add_parser("solve", help="single run, snapshot output")
-    p.add_argument("--problem")
-    p.add_argument("--nx", type=int)
+    p = sub.add_parser("solve", parents=[run],
+                       help="single run, snapshot output")
     p.add_argument("--method")
     p.add_argument("--steps")
-    p.add_argument("--t-end", dest="t_end", type=float)
     p.add_argument("--repartition")
     p.add_argument("--hyperviscosity")
     p.add_argument("--out")
 
-    p = sub.add_parser("reference", help="prebuild a cached reference")
-    p.add_argument("--problem")
-    p.add_argument("--nx", type=int)
+    p = sub.add_parser("reference", parents=[run],
+                       help="prebuild a cached reference")
     p.add_argument("--method")
     p.add_argument("--steps")
-    p.add_argument("--t-end", dest="t_end", type=float)
     p.add_argument("--samples", help="comma list of sample times")
 
     args = parser.parse_args(argv)
@@ -511,9 +486,7 @@ def _dispatch(args, cfg) -> int:
         except ValueError:
             raise ConfigError("resolution must look like 600x200") from None
         out = _get(args, cfg, "out", "stability-maps")
-        for m in methods:
-            if m not in K2_BANDS:
-                raise ConfigError("unknown method: %r" % (m,))
+        _check_methods(methods)
         run_stability_maps(methods, rhos, out, (n1, n2),
                            k2_max=_get(args, cfg, "k2_max", None, float))
         return EXIT_OK

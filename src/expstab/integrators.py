@@ -16,7 +16,7 @@ flattened stability grids), sharing one code path for both uses:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -24,33 +24,32 @@ import numpy as np
 from .phicore import PhiCache
 
 __all__ = [
-    "DiagonalProblem", "StepperState", "MethodSpec", "make_method",
+    "DiagonalProblem", "StepperState", "MethodSpec", "METHODS", "make_method",
     "ESDCTableau", "EPBMTableau", "ButcherPair",
-    "esdc_tableau", "epbm_tableau", "imrk_tableau", "epbm_v_coefficients",
+    "esdc_tableau", "epbm_tableau", "imrk_tableau",
     "step_erk4", "step_esdc6", "step_epbm5", "step_imrk4", "step_rk4",
     "step_exp_euler", "epbm_initialize", "integrate", "IntegrationResult",
-    "FAMILIES", "EXPONENTIAL_FAMILIES",
+    "FAMILIES",
 ]
 
-FAMILIES = ("erk4", "esdc6", "epbm5", "imrk4", "rk4", "exp_euler")
-EXPONENTIAL_FAMILIES = ("erk4", "esdc6", "epbm5", "exp_euler")
+_STARTUP_SUBSTEPS = 200    # Krogstad substeps per EPBM5 startup node gap
 
 
 @dataclass
 class DiagonalProblem:
-    """Semilinear problem with diagonal linear part."""
+    """y' = L_diag * y + nonlinear(t, y), with optional grid metadata."""
     L_diag: np.ndarray
     nonlinear: Callable[[float, np.ndarray], np.ndarray]
+    grid: object = None       # spectral.PeriodicGrid
+    name: str = ""
 
 
 @dataclass
 class StepperState:
-    """One-step methods carry y; the block method carries a (5, n) block
-    of node values spaced by its composite step r."""
+    """One-step methods carry the solution y at t; the block method carries
+    as y the (5, n) block of node values spaced by its composite step h."""
     t: float
-    y: Optional[np.ndarray] = None
-    block: Optional[np.ndarray] = None
-    r: Optional[float] = None
+    y: np.ndarray
 
 
 # --- tableaux ----------------------------------------------------------------
@@ -67,7 +66,7 @@ class ESDCTableau:
     sweeps: int = 6
 
 
-def esdc_tableau(sweeps: int = 6) -> ESDCTableau:
+def esdc_tableau() -> ESDCTableau:
     s5 = math.sqrt(5.0)
     nodes = np.array([0.0, 0.5 - s5 / 10.0, 0.5 + s5 / 10.0, 1.0])
     delta = np.diff(nodes)
@@ -79,7 +78,7 @@ def esdc_tableau(sweeps: int = 6) -> ESDCTableau:
         weights[j] = fact[:, None] * np.linalg.inv(V)
     for a in (nodes, delta, weights):
         a.setflags(write=False)
-    return ESDCTableau(nodes=nodes, delta=delta, weights=weights, sweeps=sweeps)
+    return ESDCTableau(nodes=nodes, delta=delta, weights=weights)
 
 
 @dataclass(frozen=True)
@@ -88,53 +87,19 @@ class EPBMTableau:
     N at nodes 2..5 to the scaled derivative coefficients v_1..v_4 of their
     interpolating polynomial expanded about node 1 (v_k = (k-1)! c_k)."""
     z: np.ndarray             # (5,)
-    vmap: np.ndarray          # (4, 4), Vandermonde-derived (authoritative)
-    constants: dict           # closed-form surds the vmap must reproduce
-
-    def closed_form_vmap(self) -> np.ndarray:
-        c = self.constants
-        w1p, w1m = c["w1p"], c["w1m"]
-        w2p, w2m = c["w2p"], c["w2m"]
-        w3p, w3m = c["w3p"], c["w3m"]
-        w4p, w4m = c["w4p"], c["w4m"]
-        u1p, u1m, u2 = c["u1p"], c["u1m"], c["u2"]
-        return np.array([
-            [w1p + u1p, -w1m + u1m, w1m + u1m, -w1p + u1p],
-            [-w2m - u2, w2p + u2, -w2p + u2, w2m - u2],
-            [w3m + u2, -w3p - u2, w3p - u2, -w3m + u2],
-            [-w4m, w4p, -w4p, w4m],
-        ])
+    vmap: np.ndarray          # (4, 4), Vandermonde-derived
 
 
 def epbm_tableau() -> EPBMTableau:
-    s30 = math.sqrt(30.0)
     etap = math.sqrt(3.0 / 7.0 + 2.0 / 7.0 * math.sqrt(6.0 / 5.0))
     etam = math.sqrt(3.0 / 7.0 - 2.0 / 7.0 * math.sqrt(6.0 / 5.0))
     z = np.array([-1.0, -etap, -etam, etam, etap])
     V = np.vander(z[1:] + 1.0, 4, increasing=True)
     fact = np.array([math.factorial(k) for k in range(4)])
     vmap = fact[:, None] * np.linalg.inv(V)
-    constants = {
-        "w1p": math.sqrt(75.0 + 4.0 * s30) / 12.0,
-        "w1m": math.sqrt(75.0 - 4.0 * s30) / 12.0,
-        "w2p": math.sqrt(10170.0 + 1104.0 * s30) / 24.0,
-        "w2m": math.sqrt(10170.0 - 1104.0 * s30) / 24.0,
-        "w3p": 7.0 * math.sqrt(1350.0 + 180.0 * s30) / 24.0,
-        "w3m": 7.0 * math.sqrt(1350.0 - 180.0 * s30) / 24.0,
-        "w4p": 7.0 * math.sqrt(150.0 + 20.0 * s30) / 8.0,
-        "w4m": 7.0 * math.sqrt(150.0 - 20.0 * s30) / 8.0,
-        "u1p": (3.0 + s30) / 12.0,
-        "u1m": (3.0 - s30) / 12.0,
-        "u2": 7.0 * s30 / 24.0,
-    }
     z.setflags(write=False)
     vmap.setflags(write=False)
-    return EPBMTableau(z=z, vmap=vmap, constants=constants)
-
-
-def epbm_v_coefficients(tableau: EPBMTableau, n_values: np.ndarray) -> np.ndarray:
-    """Map N at block nodes 2..5 (shape (4, ...)) to v_1..v_4."""
-    return tableau.vmap @ n_values
+    return EPBMTableau(z=z, vmap=vmap)
 
 
 @dataclass(frozen=True)
@@ -173,35 +138,18 @@ def imrk_tableau() -> ButcherPair:
     return ButcherPair(A_implicit=AI, A_explicit=AE, b=b, c=c)
 
 
-@dataclass(frozen=True)
-class MethodSpec:
-    family: str
-    esdc: Optional[ESDCTableau] = None
-    epbm: Optional[EPBMTableau] = None
-    butcher: Optional[ButcherPair] = None
-
-
-def make_method(family: str) -> MethodSpec:
-    if family not in FAMILIES:
-        raise ValueError("unknown method family: %r" % (family,))
-    if family == "esdc6":
-        return MethodSpec(family, esdc=esdc_tableau())
-    if family == "epbm5":
-        return MethodSpec(family, epbm=epbm_tableau())
-    if family == "imrk4":
-        return MethodSpec(family, butcher=imrk_tableau())
-    return MethodSpec(family)
-
-
 # --- steppers ----------------------------------------------------------------
+# Every stepper takes (problem, state, h, phis, tableau); the tableau is None
+# for the families that have none.
 
-def step_exp_euler(problem, state, h, phis: PhiCache) -> StepperState:
+def step_exp_euler(problem, state, h, phis: PhiCache,
+                   tableau=None) -> StepperState:
     T = phis.table(h)
     y = T.values[0] * state.y + h * T.values[1] * problem.nonlinear(state.t, state.y)
     return StepperState(t=state.t + h, y=y)
 
 
-def step_erk4(problem, state, h, phis: PhiCache) -> StepperState:
+def step_erk4(problem, state, h, phis: PhiCache, tableau=None) -> StepperState:
     """Krogstad exponential RK4; reduces to classical RK4 at L = 0."""
     t, y = state.t, state.y
     N = problem.nonlinear
@@ -224,11 +172,10 @@ def step_erk4(problem, state, h, phis: PhiCache) -> StepperState:
 
 
 def step_esdc6(problem, state, h, phis: PhiCache,
-               tableau: Optional[ESDCTableau] = None) -> StepperState:
+               tableau: ESDCTableau) -> StepperState:
     t0, y0 = state.t, state.y
     N = problem.nonlinear
-    tab = tableau if tableau is not None else _DEFAULT_ESDC
-    eta, delta, W = tab.nodes, tab.delta, tab.weights
+    eta, delta, W = tableau.nodes, tableau.delta, tableau.weights
     T = [phis.table(h * d) for d in delta]    # delta[0] == delta[2]: 2 distinct
 
     # exponential-Euler predictor along the substeps
@@ -239,8 +186,8 @@ def step_esdc6(problem, state, h, phis: PhiCache,
         Y[j + 1] = T[j].values[0] * Y[j] + hj * T[j].values[1] * Nval[j]
         Nval[j + 1] = N(t0 + h * eta[j + 1], Y[j + 1])
 
-    for sweep in range(tab.sweeps):
-        last = sweep == tab.sweeps - 1
+    for sweep in range(tableau.sweeps):
+        last = sweep == tableau.sweeps - 1
         Nold = np.asarray(Nval)
         Ynew = [y0, None, None, None]
         Nval = [Nold[0], None, None, None]
@@ -278,28 +225,25 @@ def _epbm_pass(problem, block, t_base, r, alpha, phis, tab) -> np.ndarray:
     return out
 
 
-def step_epbm5(problem, state, phis: PhiCache,
-               tableau: Optional[EPBMTableau] = None) -> StepperState:
-    """Two-pass composite step: predictor pass advances the block by r,
+def step_epbm5(problem, state, h, phis: PhiCache,
+               tableau: EPBMTableau) -> StepperState:
+    """Two-pass composite step: predictor pass advances the block by h,
     corrector pass rebuilds it about the advanced node 1."""
-    tab = tableau if tableau is not None else _DEFAULT_EPBM
-    r = state.r
-    mid = _epbm_pass(problem, state.block, state.t, r, 1.0, phis, tab)
-    new = _epbm_pass(problem, mid, state.t + r, r, 0.0, phis, tab)
-    return StepperState(t=state.t + r, block=new, r=r)
+    mid = _epbm_pass(problem, state.y, state.t, h, 1.0, phis, tableau)
+    new = _epbm_pass(problem, mid, state.t + h, h, 0.0, phis, tableau)
+    return StepperState(t=state.t + h, y=new)
 
 
-def step_imrk4(problem, state, h,
-               tableau: Optional[ButcherPair] = None) -> StepperState:
+def step_imrk4(problem, state, h, phis: PhiCache,
+               tableau: ButcherPair) -> StepperState:
     """Additive RK step: diagonal L solved implicitly, N explicit.
     All implicit diagonal entries share gamma, so one denominator serves
     every stage."""
-    tab = tableau if tableau is not None else _DEFAULT_IMRK
     t, y = state.t, state.y
     L = problem.L_diag
     N = problem.nonlinear
-    AI, AE, b, c = tab.A_implicit, tab.A_explicit, tab.b, tab.c
-    denom = 1.0 - (h * tab.gamma) * L
+    AI, AE, b, c = tableau.A_implicit, tableau.A_explicit, tableau.b, tableau.c
+    denom = 1.0 - (h * tableau.gamma) * L
     if np.any(denom == 0):
         raise ZeroDivisionError("implicit stage solve is singular")
 
@@ -323,7 +267,7 @@ def step_imrk4(problem, state, h,
     return StepperState(t=t + h, y=y1)
 
 
-def step_rk4(problem, state, h) -> StepperState:
+def step_rk4(problem, state, h, phis: PhiCache, tableau=None) -> StepperState:
     t, y = state.t, state.y
     L = problem.L_diag
     N = problem.nonlinear
@@ -335,29 +279,51 @@ def step_rk4(problem, state, h) -> StepperState:
     return StepperState(t=t + h, y=y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
-_DEFAULT_ESDC = esdc_tableau()
-_DEFAULT_EPBM = epbm_tableau()
-_DEFAULT_IMRK = imrk_tableau()
+@dataclass(frozen=True)
+class MethodSpec:
+    """One method family: its stepper, whether it is the block method (a
+    startup block, one extra composite step, node 1 lagging by one step),
+    its tableau, and its default k2 window for stability maps."""
+    family: str
+    step: Callable
+    block: bool
+    tableau: object
+    k2_band: float
+
+
+METHODS = {spec.family: spec for spec in (
+    MethodSpec("erk4", step_erk4, False, None, 12.0),
+    MethodSpec("esdc6", step_esdc6, False, esdc_tableau(), 25.0),
+    MethodSpec("epbm5", step_epbm5, True, epbm_tableau(), 4.0),
+    MethodSpec("imrk4", step_imrk4, False, imrk_tableau(), 12.0),
+    MethodSpec("rk4", step_rk4, False, None, 12.0),
+    MethodSpec("exp_euler", step_exp_euler, False, None, 12.0),
+)}
+FAMILIES = tuple(METHODS)
+
+
+def make_method(family: str) -> MethodSpec:
+    if family not in METHODS:
+        raise ValueError("unknown method family: %r" % (family,))
+    return METHODS[family]
 
 
 # --- block startup and the driving loop --------------------------------------
 
 def epbm_initialize(problem, y0: np.ndarray, t0: float, r: float,
-                    tableau: Optional[EPBMTableau] = None,
-                    substeps: int = 200) -> np.ndarray:
+                    tableau: EPBMTableau) -> np.ndarray:
     """Fill the 5-node startup block by exponential (Krogstad) sub-stepping:
     node 1 (t0 - r) is seeded by integrating backward from y0, then each node
-    gap is bridged forward with `substeps` steps.  Exponential sub-stepping
-    keeps the startup stable for arbitrarily stiff diagonal L, where an
-    explicit bridge would need a prohibitive substep count."""
-    tab = tableau if tableau is not None else _DEFAULT_EPBM
-    z = tab.z
+    gap is bridged forward with _STARTUP_SUBSTEPS steps.  Exponential
+    sub-stepping keeps the startup stable for arbitrarily stiff diagonal L,
+    where an explicit bridge would need a prohibitive substep count."""
+    z = tableau.z
     block = np.empty((5,) + y0.shape, dtype=np.complex128)
 
     def span(prob, phis, y, ta, span_len):
         st = StepperState(t=ta, y=y)
-        hh = span_len / substeps
-        for _ in range(substeps):
+        hh = span_len / _STARTUP_SUBSTEPS
+        for _ in range(_STARTUP_SUBSTEPS):
             st = step_erk4(prob, st, hh, phis)
         return st.y
 
@@ -393,9 +359,14 @@ def integrate(problem, method: MethodSpec, y0: np.ndarray,
 
     `repartition` / `hyperviscosity` (mutually exclusive) are applied to the
     problem before stepping; see expstab.spectral.
+
+    The block method takes n+1 composite steps of h: node 1 of the block after
+    step m sits at t0 + (m-1) h, so the endpoint is exact after n+1.  Its
+    startup runs on the unmodified problem: a repartitioned problem is the
+    same equation (so its startup values are identical), and integrating the
+    damped variant backward to the t0 - h node would overflow.
     """
-    if method.family not in FAMILIES:
-        raise ValueError("unknown method family: %r" % (method.family,))
+    make_method(method.family)      # an unknown family raises ValueError
     t0, t1 = float(t_span[0]), float(t_span[1])
     n_steps = int(n_steps)
     if not (t1 > t0) or n_steps < 1:
@@ -403,87 +374,45 @@ def integrate(problem, method: MethodSpec, y0: np.ndarray,
     if repartition is not None and hyperviscosity is not None:
         raise ValueError("at most one of repartition/hyperviscosity may be set")
     h = (t1 - t0) / n_steps
+    from . import spectral      # spectral builds on this module
     base_problem = problem
-    if repartition is not None or hyperviscosity is not None:
-        from . import spectral
-        if repartition is not None:
-            problem = spectral.apply_repartition(problem, repartition)
-        else:
-            problem = spectral.apply_hyperviscosity(problem, hyperviscosity, h)
+    if repartition is not None:
+        problem = spectral.apply_repartition(problem, repartition)
+    elif hyperviscosity is not None:
+        problem = spectral.apply_hyperviscosity(problem, hyperviscosity, h)
 
     y0 = np.asarray(y0, dtype=np.complex128)
     wants = list(float(s) for s in sample_times) if sample_times else []
     samples: list = [None] * len(wants)
+    lag = 1 if method.block else 0
 
-    if method.family == "epbm5":
-        return _integrate_epbm(problem, base_problem, method, y0, t0, t1,
-                               n_steps, h, wants, samples)
+    def result(t, y, blowup_step=None):
+        return IntegrationResult(t=t, y=y, ok=blowup_step is None,
+                                 blowup_step=blowup_step, n_steps=n_steps,
+                                 h=h, samples=samples)
 
-    # map each requested sample time to its nearest step index
+    # map each requested sample time to the step whose output is nearest
     sample_at = {}
     for i, s in enumerate(wants):
-        m = min(max(int(round((s - t0) / h)), 0), n_steps)
+        m = min(max(int(round((s - t0) / h)), 0), n_steps) + lag
         sample_at.setdefault(m, []).append(i)
-    state = StepperState(t=t0, y=y0)
     for i in sample_at.get(0, ()):
         samples[i] = (t0, y0.copy())
 
-    family = method.family
-    phis = PhiCache(problem.L_diag) if family in EXPONENTIAL_FAMILIES else None
+    t, y = t0, y0     # the last finite (time, solution) pair
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for m in range(1, n_steps + 1):
-            prev = state
-            if family == "erk4":
-                state = step_erk4(problem, state, h, phis)
-            elif family == "esdc6":
-                state = step_esdc6(problem, state, h, phis, method.esdc)
-            elif family == "imrk4":
-                state = step_imrk4(problem, state, h, method.butcher)
-            elif family == "rk4":
-                state = step_rk4(problem, state, h)
-            else:
-                state = step_exp_euler(problem, state, h, phis)
+        state = StepperState(t=t0, y=y0)
+        if method.block:
+            state.y = epbm_initialize(base_problem, y0, t0, h, method.tableau)
             if not np.isfinite(state.y).all():
-                # report the last finite state and the step that diverged
-                return IntegrationResult(t=prev.t, y=prev.y, ok=False,
-                                         blowup_step=m, n_steps=n_steps, h=h,
-                                         samples=samples)
-            for i in sample_at.get(m, ()):
-                samples[i] = (state.t, state.y.copy())
-    return IntegrationResult(t=state.t, y=state.y, ok=True, blowup_step=None,
-                             n_steps=n_steps, h=h, samples=samples)
-
-
-def _integrate_epbm(problem, startup_problem, method, y0, t0, t1, n_steps, h,
-                    wants, samples):
-    """Block-method driver: n+1 composite steps of r = h; node 1 of the block
-    after step m sits at t0 + (m-1) r, so the endpoint is exact after n+1.
-
-    Startup runs on the unmodified problem: a repartitioned problem is the
-    same equation (so its startup values are identical), and integrating the
-    damped variant backward to the t0 - r node would overflow."""
-    r = h
-    sample_at = {}
-    for i, s in enumerate(wants):
-        m = min(max(int(round((s - t0) / r)) + 1, 1), n_steps + 1)
-        sample_at.setdefault(m, []).append(i)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        block = epbm_initialize(startup_problem, y0, t0, r, method.epbm)
-        if not np.isfinite(block).all():
-            return IntegrationResult(t=t0, y=y0, ok=False, blowup_step=0,
-                                     n_steps=n_steps, h=r, samples=samples)
-        state = StepperState(t=t0, block=block, r=r)
+                return result(t, y, blowup_step=0)
         phis = PhiCache(problem.L_diag)
-        for m in range(1, n_steps + 2):
-            prev = state
-            state = step_epbm5(problem, state, phis, method.epbm)
-            if not np.isfinite(state.block).all():
-                # report node 1 of the last finite block
-                return IntegrationResult(t=t0 + (m - 1) * r, y=prev.block[0],
-                                         ok=False, blowup_step=m,
-                                         n_steps=n_steps, h=r, samples=samples)
-            node1_t = t0 + (m - 1) * r
+        for m in range(1, n_steps + lag + 1):
+            state = method.step(problem, state, h, phis, method.tableau)
+            if not np.isfinite(state.y).all():
+                return result(t, y, blowup_step=m)
+            t, y = ((t0 + (m - 1) * h, state.y[0]) if method.block
+                    else (state.t, state.y))
             for i in sample_at.get(m, ()):
-                samples[i] = (node1_t, state.block[0].copy())
-    return IntegrationResult(t=t1, y=state.block[0], ok=True, blowup_step=None,
-                             n_steps=n_steps, h=r, samples=samples)
+                samples[i] = (t, y.copy())
+    return result(t1 if method.block else t, y)

@@ -9,7 +9,7 @@ Everything operates elementwise on diagonal (spectral) operators, so a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -8,18 +8,20 @@ Nyquist^2, lands on -Nx/2 of the padded grid and is dropped on truncation).
 """
 from __future__ import annotations
 
+import functools
 import math
-import os
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
+from .integrators import DiagonalProblem
+
 __all__ = [
-    "PeriodicGrid", "SemilinearSpectralProblem", "RepartitionSpec",
-    "HyperviscositySpec", "build_zds", "build_kdv", "dealiased_product",
-    "apply_repartition", "apply_hyperviscosity", "spectral_radius_fraction",
-    "write_spectrum", "read_spectrum",
+    "PeriodicGrid", "RepartitionSpec", "HyperviscositySpec", "build_zds",
+    "build_kdv", "dealiased_product", "repartition_shift", "apply_repartition",
+    "apply_hyperviscosity", "spectral_radius_fraction", "write_spectrum",
+    "read_spectrum",
 ]
 
 
@@ -90,15 +92,9 @@ class _Dealias:
         return np.concatenate([wh[:h + 1], wh[self.m - (h - 1):]]) * self.band
 
 
-_DEALIAS_CACHE: dict[int, _Dealias] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _dealias_for(nx: int) -> _Dealias:
-    d = _DEALIAS_CACHE.get(nx)
-    if d is None:
-        d = _Dealias(nx)
-        _DEALIAS_CACHE[nx] = d
-    return d
+    return _Dealias(nx)
 
 
 def dealiased_product(grid: PeriodicGrid, u_hat: np.ndarray,
@@ -109,16 +105,7 @@ def dealiased_product(grid: PeriodicGrid, u_hat: np.ndarray,
     return d.from_phys(d.to_phys(u_hat) * d.to_phys(v_hat))
 
 
-@dataclass
-class SemilinearSpectralProblem:
-    """u_hat' = L_diag * u_hat + nonlinear(t, u_hat) on a periodic grid."""
-    name: str
-    grid: PeriodicGrid
-    L_diag: np.ndarray
-    nonlinear: Callable[[float, np.ndarray], np.ndarray]
-
-
-def build_zds(nx: int = 128) -> tuple[SemilinearSpectralProblem, np.ndarray]:
+def build_zds(nx: int = 128) -> tuple[DiagonalProblem, np.ndarray]:
     """Cubic-nonlinearity dispersive problem on [-4pi, 4pi):
 
         u_t = -u_xxx + 2i |u|^2 u,   u(x, 0) = 1 + (1/100) e^{3ix/4}
@@ -141,11 +128,11 @@ def build_zds(nx: int = 128) -> tuple[SemilinearSpectralProblem, np.ndarray]:
     u0 = np.zeros(nx, dtype=np.complex128)
     u0[0] = nx * 1.0
     u0[round(0.75 / grid.dk)] = nx * 0.01
-    return SemilinearSpectralProblem("zds", grid, L, nonlinear), u0
+    return DiagonalProblem(L, nonlinear, grid, "zds"), u0
 
 
 def build_kdv(nx: int = 512, delta: float = 0.022
-              ) -> tuple[SemilinearSpectralProblem, np.ndarray]:
+              ) -> tuple[DiagonalProblem, np.ndarray]:
     """Korteweg-de Vries with small dispersion on [0, 2):
 
         u_t = -delta u_xxx - (1/2)(u^2)_x,   u(x, 0) = cos(pi x)
@@ -168,7 +155,7 @@ def build_kdv(nx: int = 512, delta: float = 0.022
     u0 = np.zeros(nx, dtype=np.complex128)
     u0[1] = 0.5 * nx
     u0[-1] = 0.5 * nx
-    return SemilinearSpectralProblem("kdv", grid, L, nonlinear), u0
+    return DiagonalProblem(L, nonlinear, grid, "kdv"), u0
 
 
 # --- stabilizing modifications ------------------------------------------------
@@ -214,11 +201,11 @@ class RepartitionSpec:
         return "%s:rho=%.17g" % (self.kind, self.rho)
 
 
-def _unit_modulus_wavenumber(problem: SemilinearSpectralProblem) -> float:
+def _unit_modulus_wavenumber(L: np.ndarray, grid: PeriodicGrid) -> float:
     """Wavenumber magnitude at which |L| crosses 1, by log-log interpolation
-    over the problem's own modes (clamped to the grid's |L| range)."""
-    kk = np.abs(problem.grid.wavenumbers)
-    aL = np.abs(np.asarray(problem.L_diag))
+    over the grid's modes (clamped to the grid's |L| range)."""
+    kk = np.abs(grid.wavenumbers)
+    aL = np.abs(np.asarray(L))
     keep = (kk > 0) & (aL > 0)
     if not np.any(keep):
         raise ValueError("k2 repartition needs a nonzero dispersive operator")
@@ -227,33 +214,40 @@ def _unit_modulus_wavenumber(problem: SemilinearSpectralProblem) -> float:
     return float(math.exp(log_kstar))
 
 
-def apply_repartition(problem: SemilinearSpectralProblem,
-                      spec: RepartitionSpec) -> SemilinearSpectralProblem:
-    """Return the repartitioned problem; mathematically the same equation."""
-    L = problem.L_diag
+def repartition_shift(L: np.ndarray, spec: RepartitionSpec,
+                      grid: Optional[PeriodicGrid] = None) -> np.ndarray:
+    """The diagonal eps*D that `spec` moves into the linear slot of an
+    operator with diagonal L ('k2' also needs the operator's grid)."""
     if spec.kind == "abs_k3":
         D = -np.abs(L)
         eps = spec.epsilon if spec.epsilon is not None else math.tan(spec.rho)
     elif spec.kind == "k2":
-        k = problem.grid.wavenumbers
-        D = -k ** 2
+        if grid is None:
+            raise ValueError("k2 repartition needs the problem grid")
+        D = -grid.wavenumbers ** 2
         if spec.epsilon is not None:
             eps = spec.epsilon
         else:
-            eps = math.tan(spec.rho) / _unit_modulus_wavenumber(problem) ** 2
+            eps = math.tan(spec.rho) / _unit_modulus_wavenumber(L, grid) ** 2
     else:
         D = -np.ones_like(L, dtype=np.float64)
         if spec.epsilon is None:
             raise ValueError("identity repartition needs a raw epsilon")
         eps = spec.epsilon
-    shift = eps * D
+    return eps * D
+
+
+def apply_repartition(problem: DiagonalProblem,
+                      spec: RepartitionSpec) -> DiagonalProblem:
+    """Return the repartitioned problem; mathematically the same equation."""
+    shift = repartition_shift(problem.L_diag, spec, problem.grid)
     base = problem.nonlinear
 
     def nonlinear(t, u_hat):
         return base(t, u_hat) - shift * u_hat
 
-    return SemilinearSpectralProblem(problem.name, problem.grid,
-                                     L + shift, nonlinear)
+    return DiagonalProblem(problem.L_diag + shift, nonlinear, problem.grid,
+                           problem.name)
 
 
 @dataclass(frozen=True)
@@ -274,15 +268,14 @@ class HyperviscositySpec:
         return "hyperviscosity:m=%d:gamma=%.17g" % (self.m, self.gamma)
 
 
-def apply_hyperviscosity(problem: SemilinearSpectralProblem,
-                         spec: HyperviscositySpec,
-                         dt: float) -> SemilinearSpectralProblem:
+def apply_hyperviscosity(problem: DiagonalProblem, spec: HyperviscositySpec,
+                         dt: float) -> DiagonalProblem:
     if not dt > 0:
         raise ValueError("dt must be positive")
     k = problem.grid.wavenumbers
     damp = (dt ** (spec.q + 1)) * spec.gamma * k ** spec.m
-    return SemilinearSpectralProblem(problem.name, problem.grid,
-                                     problem.L_diag - damp, problem.nonlinear)
+    return DiagonalProblem(problem.L_diag - damp, problem.nonlinear,
+                           problem.grid, problem.name)
 
 
 def spectral_radius_fraction(L_diag: np.ndarray, h: float,
@@ -323,6 +316,7 @@ def write_spectrum(path, problem_name: str, t: float, u_hat: np.ndarray,
 
 
 def read_spectrum(path) -> tuple[dict, np.ndarray]:
+    """Inverse of write_spectrum; a truncated file raises ValueError."""
     with open(path, "r") as f:
         header = f.readline().rstrip("\n")
         if not header.startswith(_SNAP_MAGIC):
@@ -336,6 +330,10 @@ def read_spectrum(path) -> tuple[dict, np.ndarray]:
         meta["t"] = float(meta["t"])
         u = np.empty(nx, dtype=np.complex128)
         for i in range(nx):
-            re_s, _, im_s = f.readline().partition(",")
+            row = f.readline()
+            if not row.endswith("\n"):
+                raise ValueError("truncated spectrum snapshot %s: expected %d "
+                                 "rows, found %d complete" % (path, nx, i))
+            re_s, _, im_s = row.partition(",")
             u[i] = complex(float(re_s), float(im_s))
     return meta, u

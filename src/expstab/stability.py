@@ -3,14 +3,19 @@
     y' = i k1 y + i k2 y,
 
 with i k1 assigned to the integrator's linear (exponential/implicit) slot and
-i k2 y treated as the nonlinearity.  Repartitioning by angle rho moves the
-real shift eps*|k1| (eps = tan rho) between the two slots:
+i k2 y treated as the nonlinearity.  Repartitioning by angle rho is the
+'abs_k3' repartition of expstab.spectral applied to that problem: the shift
+eps*D = -tan(rho)*|k1| moves from the explicit slot into the linear one,
 
-    R^(k1, k2) = R(i k1 - eps |k1|,  i k2 + eps |k1|).
+    L = i k1 + eps D,   N(y) = (i k2 - eps D) y,
 
-One-step methods are probed by executing one literal step of the production
-stepper; the block method gets a 5x5 transfer matrix whose spectral radius
-(plus a power-boundedness check near 1) decides stability.
+which rotates the linear eigenvalue by rho into the left half-plane.
+
+Every probe builds that problem as a DiagonalProblem and executes literal
+steps of the method's production stepper (`MethodSpec.step`).  One-step
+methods are probed by one h=1 step from y=1; the block method gets a 5x5
+transfer matrix whose spectral radius (plus a power-boundedness check near 1)
+decides stability.
 """
 from __future__ import annotations
 
@@ -21,10 +26,14 @@ from typing import Optional
 
 import numpy as np
 
-from .integrators import (DiagonalProblem, MethodSpec, StepperState,
-                          step_erk4, step_esdc6, step_epbm5, step_exp_euler,
-                          step_imrk4, step_rk4)
+from .integrators import DiagonalProblem, MethodSpec, StepperState
+# perfbench/tracer.py times stability steps by rebinding these six names on
+# this module; the probes step through `method.step`, so the names are kept
+# only for that lookup.
+from .integrators import (step_erk4, step_esdc6, step_epbm5,  # noqa: F401
+                          step_exp_euler, step_imrk4, step_rk4)
 from .phicore import PhiCache
+from .spectral import RepartitionSpec, repartition_shift
 
 __all__ = [
     "DahlquistPoint", "RepartitionAngle", "StabilityGrid",
@@ -36,8 +45,6 @@ __all__ = [
 STABLE_TOL = 1e-10      # |R| <= 1 + STABLE_TOL classifies stable
 MARGINAL_LIMIT = 1.01   # .. <= MARGINAL_LIMIT classifies marginal
 
-_ONE_STEP = ("erk4", "esdc6", "imrk4", "rk4", "exp_euler")
-
 
 @dataclass(frozen=True)
 class DahlquistPoint:
@@ -45,81 +52,67 @@ class DahlquistPoint:
     k2: float
 
 
-@dataclass(frozen=True)
-class RepartitionAngle:
-    """Rotation angle of the linear eigenvalue into the left half-plane."""
-    rho: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.rho < math.pi / 2:
-            raise ValueError("rho must lie in [0, pi/2)")
-
-    @property
-    def epsilon(self) -> float:
-        return math.tan(self.rho)
+def RepartitionAngle(rho: float) -> RepartitionSpec:
+    """Rotation of the linear eigenvalue by rho into the left half-plane:
+    the 'abs_k3' repartition with eps = tan(rho)."""
+    return RepartitionSpec("abs_k3", rho=rho)
 
 
-def _split_args(k1, k2, angle: Optional[RepartitionAngle]):
-    """Exponential-slot and explicit-slot arguments for the executed step."""
-    eps = angle.epsilon if angle is not None else 0.0
-    shift = eps * np.abs(k1)
-    return 1j * k1 - shift, 1j * k2 + shift
+def _test_problem(k1, k2, angle: Optional[RepartitionSpec]) -> DiagonalProblem:
+    """The partitioned oscillator at (k1, k2) arrays, repartitioned by
+    `angle` (None is the angle 0)."""
+    if angle is None:
+        angle = RepartitionAngle(0.0)
+    if angle.kind != "abs_k3":
+        raise ValueError("stability probes take an 'abs_k3' repartition, "
+                         "not %r" % (angle.kind,))
+    L = 1j * k1
+    shift = repartition_shift(L, angle)
+    z2 = 1j * k2 - shift
+    return DiagonalProblem(L_diag=L + shift, nonlinear=lambda t, y: z2 * y)
 
 
-def _one_step_R(method: MethodSpec, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    """Execute one literal h=1 step from y=1 on the diagonal problem."""
-    problem = DiagonalProblem(L_diag=z1, nonlinear=lambda t, y: z2 * y)
-    state = StepperState(t=0.0, y=np.ones(z1.shape, dtype=np.complex128))
-    fam = method.family
-    if fam == "erk4":
-        out = step_erk4(problem, state, 1.0, PhiCache(z1))
-    elif fam == "esdc6":
-        out = step_esdc6(problem, state, 1.0, PhiCache(z1), method.esdc)
-    elif fam == "exp_euler":
-        out = step_exp_euler(problem, state, 1.0, PhiCache(z1))
-    elif fam == "imrk4":
-        out = step_imrk4(problem, state, 1.0, method.butcher)
-    elif fam == "rk4":
-        out = step_rk4(problem, state, 1.0)
-    else:
-        raise ValueError("not a one-step method: %r" % (fam,))
-    return out.y
+def _one_step_R(method: MethodSpec, problem: DiagonalProblem) -> np.ndarray:
+    """Execute one literal h=1 step from y=1."""
+    state = StepperState(t=0.0, y=np.ones(problem.L_diag.shape,
+                                          dtype=np.complex128))
+    return method.step(problem, state, 1.0, PhiCache(problem.L_diag),
+                       method.tableau).y
 
 
 def stability_scalar(method: MethodSpec, point: DahlquistPoint,
-                     angle: Optional[RepartitionAngle] = None) -> complex:
+                     angle: Optional[RepartitionSpec] = None) -> complex:
     """Amplification factor R^(k1, k2) of a one-step method."""
-    if method.family not in _ONE_STEP:
+    if method.block:
         raise ValueError("stability_scalar needs a one-step method; "
                          "use epbm_transfer_matrix for epbm5")
-    z1, z2 = _split_args(np.array([point.k1]), np.array([point.k2]), angle)
-    return complex(_one_step_R(method, z1, z2)[0])
+    problem = _test_problem(np.array([point.k1]), np.array([point.k2]), angle)
+    return complex(_one_step_R(method, problem)[0])
 
 
-def _epbm_transfer_batch(method: MethodSpec, z1: np.ndarray,
-                         z2: np.ndarray) -> np.ndarray:
+def _epbm_transfer_batch(method: MethodSpec,
+                         problem: DiagonalProblem) -> np.ndarray:
     """(n, 5, 5) transfer matrices: column j is the composite step applied
-    to the j-th basis block."""
-    problem = DiagonalProblem(L_diag=z1, nonlinear=lambda t, y: z2 * y)
-    phis = PhiCache(z1)
-    n = z1.size
+    to the j-th basis block.  The five columns share one phi cache."""
+    phis = PhiCache(problem.L_diag)
+    n = problem.L_diag.size
     M = np.empty((n, 5, 5), dtype=np.complex128)
     for col in range(5):
         block = np.zeros((5, n), dtype=np.complex128)
         block[col] = 1.0
-        state = StepperState(t=0.0, block=block, r=1.0)
-        out = step_epbm5(problem, state, phis, method.epbm)
-        M[:, :, col] = out.block.T
+        out = method.step(problem, StepperState(t=0.0, y=block), 1.0, phis,
+                          method.tableau)
+        M[:, :, col] = out.y.T
     return M
 
 
 def epbm_transfer_matrix(method: MethodSpec, point: DahlquistPoint,
-                         angle: Optional[RepartitionAngle] = None) -> np.ndarray:
+                         angle: Optional[RepartitionSpec] = None) -> np.ndarray:
     """5x5 one-composite-step transfer matrix at a single (k1, k2)."""
-    if method.family != "epbm5":
+    if not method.block:
         raise ValueError("transfer matrix is defined for epbm5")
-    z1, z2 = _split_args(np.array([point.k1]), np.array([point.k2]), angle)
-    return _epbm_transfer_batch(method, z1, z2)[0]
+    problem = _test_problem(np.array([point.k1]), np.array([point.k2]), angle)
+    return _epbm_transfer_batch(method, problem)[0]
 
 
 def power_bounded_classification(M: np.ndarray, tol: float = 1e-8) -> str:
@@ -165,7 +158,7 @@ class StabilityGrid:
 
 def region_grid(method: MethodSpec, k1_range: tuple[float, float],
                 k2_range: tuple[float, float], resolution: tuple[int, int],
-                angle: Optional[RepartitionAngle] = None) -> StabilityGrid:
+                angle: Optional[RepartitionSpec] = None) -> StabilityGrid:
     """Sample |R^| on a (k1, k2) product grid (vectorized: the whole grid is
     flattened into one diagonal problem and stepped once)."""
     n1, n2 = int(resolution[0]), int(resolution[1])
@@ -176,16 +169,17 @@ def region_grid(method: MethodSpec, k1_range: tuple[float, float],
     k1 = np.linspace(k1_range[0], k1_range[1], n1)
     k2 = np.linspace(k2_range[0], k2_range[1], n2)
     K1, K2 = (a.ravel() for a in np.meshgrid(k1, k2, indexing="ij"))
-    z1, z2 = _split_args(K1, K2, angle)
+    problem = _test_problem(K1, K2, angle)
     with np.errstate(over="ignore", invalid="ignore"):
-        if method.family == "epbm5":
-            M = _epbm_transfer_batch(method, z1, z2)
+        if method.block:
+            M = _epbm_transfer_batch(method, problem)
             absR = np.max(np.abs(np.linalg.eigvals(M)), axis=1)
         else:
-            absR = np.abs(_one_step_R(method, z1, z2))
+            absR = np.abs(_one_step_R(method, problem))
     absR = absR.reshape(n1, n2)
-    return StabilityGrid(method=method.family,
-                         rho=angle.rho if angle is not None else 0.0,
+    rho = 0.0 if angle is None else (
+        angle.rho if angle.rho is not None else math.atan(angle.epsilon))
+    return StabilityGrid(method=method.family, rho=rho,
                          k1_samples=k1, k2_samples=k2, absR=absR,
                          classification=_classify(absR))
 

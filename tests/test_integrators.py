@@ -1,5 +1,6 @@
 """Tests for the time steppers: tableau structure, frozen one-step values,
 reduction identities, convergence orders, and driver plumbing."""
+import dataclasses
 import math
 
 import numpy as np
@@ -8,15 +9,15 @@ import pytest
 from expstab import (
     DiagonalProblem,
     FAMILIES,
-    MethodSpec,
     epbm_tableau,
-    epbm_v_coefficients,
     esdc_tableau,
     imrk_tableau,
     integrate,
     make_method,
 )
 from expstab.integrators import PhiCache, StepperState, step_epbm5, step_erk4, step_rk4
+
+from epbm_oracle import closed_form_vmap
 
 
 def scalar_problem(lam, mu):
@@ -38,7 +39,6 @@ class TestESDCTableau:
 
     def test_default_sweep_count(self):
         assert esdc_tableau().sweeps == 6
-        assert esdc_tableau(sweeps=3).sweeps == 3
 
     @pytest.mark.parametrize("j", [0, 1, 2])
     @pytest.mark.parametrize("p", [0, 1, 2, 3])
@@ -67,7 +67,7 @@ class TestEPBMTableau:
 
     def test_vmap_matches_closed_form(self):
         tab = epbm_tableau()
-        diff = np.abs(tab.vmap - tab.closed_form_vmap())
+        diff = np.abs(tab.vmap - closed_form_vmap())
         assert np.max(diff) < 1e-12
 
     @pytest.mark.parametrize("p", [0, 1, 2, 3])
@@ -75,7 +75,7 @@ class TestEPBMTableau:
         # N values ((z - z1))^p at nodes 2..5 map to p! in slot p: v_k are
         # the scaled derivatives of the interpolant about node 1.
         tab = epbm_tableau()
-        v = epbm_v_coefficients(tab, (tab.z[1:] + 1.0) ** p)
+        v = tab.vmap @ (tab.z[1:] + 1.0) ** p
         expect = np.zeros(4)
         expect[p] = math.factorial(p)
         assert np.allclose(v, expect, rtol=0, atol=1e-12)
@@ -103,11 +103,12 @@ class TestIMRKTableau:
 
 
 def test_make_method_payloads():
-    assert make_method("esdc6").esdc is not None
-    assert make_method("epbm5").epbm is not None
-    assert make_method("imrk4").butcher is not None
-    spec = make_method("erk4")
-    assert (spec.esdc, spec.epbm, spec.butcher) == (None, None, None)
+    assert isinstance(make_method("esdc6").tableau, type(esdc_tableau()))
+    assert isinstance(make_method("epbm5").tableau, type(epbm_tableau()))
+    assert isinstance(make_method("imrk4").tableau, type(imrk_tableau()))
+    for family in ("erk4", "rk4", "exp_euler"):
+        assert make_method(family).tableau is None
+    assert [f for f in FAMILIES if make_method(f).block] == ["epbm5"]
     with pytest.raises(ValueError):
         make_method("rk45")
 
@@ -153,8 +154,9 @@ class TestFrozenOneStep:
         for col in range(5):
             block = np.zeros((5, 1), dtype=np.complex128)
             block[col, 0] = 1.0
-            out = step_epbm5(prob, StepperState(t=0.0, block=block, r=1.0), phis)
-            M[:, col] = out.block[:, 0]
+            out = step_epbm5(prob, StepperState(t=0.0, y=block), 1.0, phis,
+                             epbm_tableau())
+            M[:, col] = out.y[:, 0]
         assert np.max(np.abs(M[0] - EPBM5_TRANSFER_ROW0)) < 5e-13
 
 
@@ -167,14 +169,15 @@ def test_erk4_reduces_to_rk4_at_zero_L():
     prob = DiagonalProblem(L_diag=np.zeros(6, dtype=np.complex128),
                            nonlinear=lambda t, y: np.sin(t + 0.3) * y * 1.1)
     a = step_erk4(prob, StepperState(t=0.4, y=y0.copy()), 0.17, PhiCache(prob.L_diag))
-    b = step_rk4(prob, StepperState(t=0.4, y=y0.copy()), 0.17)
+    b = step_rk4(prob, StepperState(t=0.4, y=y0.copy()), 0.17, PhiCache(prob.L_diag))
     assert np.max(np.abs(a.y - b.y)) < 1e-14
 
 
 def test_rk4_linear_step_is_truncated_taylor():
     z = 0.3 - 0.8j
     prob = DiagonalProblem(L_diag=np.array([z]), nonlinear=lambda t, y: 0.0 * y)
-    st = step_rk4(prob, StepperState(t=0.0, y=np.array([1.0 + 0j])), 1.0)
+    st = step_rk4(prob, StepperState(t=0.0, y=np.array([1.0 + 0j])), 1.0,
+                  PhiCache(prob.L_diag))
     taylor = 1.0 + z + z ** 2 / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0
     assert abs(st.y[0] - taylor) < 1e-15
 
@@ -273,6 +276,22 @@ def test_blowup_reports_last_finite_state():
     assert res.t == pytest.approx((res.blowup_step - 1) * 0.2, abs=1e-12)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_blowup_reports_a_consistent_time_and_state(family):
+    # y' = lam*y exactly while N vanishes; N turns NaN after t = 0.62, so the
+    # run diverges mid-interval and must hand back a (t, y) pair of the
+    # exact solution -- the block method's node 1 included.
+    lam = 0.3 + 1.1j
+    prob = DiagonalProblem(
+        L_diag=np.array([lam]),
+        nonlinear=lambda t, y: y * (np.nan if t > 0.62 else 0.0))
+    res = integrate(prob, make_method(family), np.array([1.0 + 0j]),
+                    (0.0, 2.0), 20)
+    assert not res.ok and res.blowup_step is not None
+    assert 0.0 <= res.t < 2.0
+    assert abs(res.y[0] - np.exp(lam * res.t)) < 1e-4
+
+
 def test_blowup_during_epbm_startup():
     prob = DiagonalProblem(L_diag=np.zeros(1, dtype=np.complex128),
                            nonlinear=lambda t, y: y * y)
@@ -291,7 +310,8 @@ def test_integrate_validation():
     with pytest.raises(ValueError):
         integrate(prob, meth, y0, (0.0, 1.0), 0)
     with pytest.raises(ValueError):
-        integrate(prob, MethodSpec("bogus"), y0, (0.0, 1.0), 10)
+        integrate(prob, dataclasses.replace(meth, family="bogus"), y0,
+                  (0.0, 1.0), 10)
 
 
 def test_integrate_rejects_double_modification():

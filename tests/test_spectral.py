@@ -251,6 +251,8 @@ class TestRepartition:
         prob, _ = es.build_zds(64)
         with pytest.raises(ValueError):
             es.apply_repartition(prob, es.RepartitionSpec("identity", rho=0.1))
+        with pytest.raises(ValueError):     # k2 needs the problem's grid
+            es.repartition_shift(prob.L_diag, es.RepartitionSpec("k2", rho=0.1))
 
     def test_describe(self):
         assert es.RepartitionSpec("abs_k3", rho=0.5).describe() == "abs_k3:rho=0.5"
@@ -342,6 +344,15 @@ class TestSnapshots:
         p = tmp_path / "other.txt"
         p.write_text("k1,k2,absR\n0,0,1\n")
         with pytest.raises(ValueError):
+            es.read_spectrum(p)
+
+    def test_truncated_file_names_the_row_counts(self, tmp_path):
+        p = tmp_path / "snap.txt"
+        es.write_spectrum(p, "zds", 1.0, rng_spectrum(16, 3))
+        lines = p.read_text().splitlines(keepends=True)
+        p.write_text("".join(lines[:6]) + lines[6][:5])   # cut mid-row
+        with pytest.raises(ValueError, match=r"snap\.txt.*expected 16 rows, "
+                                             r"found 5 complete"):
             es.read_spectrum(p)
 
     def test_header_format(self, tmp_path):

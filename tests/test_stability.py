@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 import expstab.stability as stab
-from expstab import make_method, phi_scalar
+from expstab import RepartitionSpec, make_method, phi_scalar
 from expstab.stability import (
     MARGINAL_LIMIT,
     STABLE_TOL,
@@ -114,9 +114,9 @@ def test_epbm_transfer_consistent_with_stepper():
     z1 = np.array([1j * k1])
     z2 = np.array([1j * k2])
     prob = DiagonalProblem(L_diag=z1, nonlinear=lambda t, y: z2 * y)
-    out = step_epbm5(prob, StepperState(t=0.0, block=b0[:, None], r=1.0),
-                     PhiCache(z1), EPBM5.epbm)
-    assert np.max(np.abs(M @ b0 - out.block[:, 0])) < 1e-12 * np.max(np.abs(b0))
+    out = step_epbm5(prob, StepperState(t=0.0, y=b0[:, None]), 1.0,
+                     PhiCache(z1), EPBM5.tableau)
+    assert np.max(np.abs(M @ b0 - out.y[:, 0])) < 1e-12 * np.max(np.abs(b0))
 
 
 class TestPowerBoundedClassification:
@@ -265,9 +265,22 @@ class TestAsymptoticDecay:
 
 
 def test_repartition_angle():
-    assert RepartitionAngle(0.0).epsilon == 0.0
-    assert RepartitionAngle(math.pi / 4).epsilon == pytest.approx(1.0, abs=1e-15)
+    # the rotation by rho is the abs_k3 repartition with eps = tan(rho)
+    assert RepartitionAngle(math.pi / 4) == RepartitionSpec("abs_k3",
+                                                            rho=math.pi / 4)
     with pytest.raises(ValueError):
         RepartitionAngle(-0.01)
     with pytest.raises(ValueError):
         RepartitionAngle(math.pi / 2)
+
+
+@pytest.mark.parametrize("spec", [RepartitionSpec("k2", rho=0.1),
+                                  RepartitionSpec("identity", epsilon=1.0)])
+def test_probes_reject_other_repartition_kinds(spec):
+    point = DahlquistPoint(1.0, 0.5)
+    with pytest.raises(ValueError):
+        region_grid(ERK4, (0.5, 2.0), (0.0, 1.0), (3, 4), spec)
+    with pytest.raises(ValueError):
+        stability_scalar(ERK4, point, spec)
+    with pytest.raises(ValueError):
+        epbm_transfer_matrix(EPBM5, point, spec)
