@@ -9,8 +9,8 @@ from .integrators import (FAMILIES, METHODS, DiagonalProblem, MethodSpec,
                           make_method, esdc_tableau, epbm_tableau,
                           imrk_tableau, integrate, IntegrationResult)
 from .spectral import (PeriodicGrid, dealiased_product, build_zds, build_kdv,
-                       RepartitionSpec, repartition_shift, apply_repartition,
-                       HyperviscositySpec, apply_hyperviscosity,
+                       RepartitionSpec, HyperviscositySpec,
+                       repartition_shift, parse_angle, parse_modification,
                        spectral_radius_fraction, write_spectrum,
                        read_spectrum)
 from .stability import (DahlquistPoint, RepartitionAngle, stability_scalar,
@@ -28,8 +28,8 @@ __all__ = [
     "FAMILIES", "METHODS", "DiagonalProblem", "MethodSpec", "make_method",
     "esdc_tableau", "epbm_tableau", "imrk_tableau", "integrate",
     "IntegrationResult", "PeriodicGrid", "dealiased_product", "build_zds",
-    "build_kdv", "RepartitionSpec", "repartition_shift", "apply_repartition",
-    "HyperviscositySpec", "apply_hyperviscosity", "spectral_radius_fraction",
+    "build_kdv", "RepartitionSpec", "HyperviscositySpec", "repartition_shift",
+    "parse_angle", "parse_modification", "spectral_radius_fraction",
     "write_spectrum", "read_spectrum",
     "DahlquistPoint", "RepartitionAngle", "stability_scalar",
     "epbm_transfer_matrix", "power_bounded_classification", "region_grid",

@@ -12,6 +12,8 @@ import concurrent.futures
 import hashlib
 import math
 import os
+import pathlib
+import shutil
 import sys
 import time
 from dataclasses import dataclass
@@ -20,8 +22,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .integrators import FAMILIES, METHODS, make_method, integrate
-from .spectral import (RepartitionSpec, HyperviscositySpec, build_zds,
-                       build_kdv, write_spectrum, read_spectrum)
+from .spectral import (REPARTITION_KINDS, build_zds, build_kdv, parse_angle,
+                       parse_modification, write_spectrum, read_spectrum)
 from . import stability as stab
 
 __all__ = [
@@ -92,14 +94,9 @@ def _mod_describe(mod) -> str:
 def _run_single(task: tuple) -> dict:
     (problem_name, nx, family, n_steps, t_end, mod, sample_times) = task
     problem, u0 = _build_problem(problem_name, nx)
-    rep = mod if isinstance(mod, RepartitionSpec) else None
-    hyper = mod if isinstance(mod, HyperviscositySpec) else None
-    if mod is not None and rep is None and hyper is None:
-        raise ConfigError("unknown modification: %r" % (mod,))
     start = time.perf_counter()
     res = integrate(problem, make_method(family), u0, (0.0, t_end), n_steps,
-                    repartition=rep, hyperviscosity=hyper,
-                    sample_times=sample_times)
+                    modification=mod, sample_times=sample_times)
     wall = time.perf_counter() - start
     return {"ok": res.ok, "blowup_step": res.blowup_step, "t": res.t,
             "y": res.y, "samples": res.samples, "h": res.h, "wall": wall}
@@ -118,15 +115,22 @@ def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
+# digest of the modules that compute a reference, part of its cache key
+_CODE_DIGEST = hashlib.sha1(b"".join(
+    pathlib.Path(__file__).with_name(name).read_bytes()
+    for name in ("phicore.py", "integrators.py", "spectral.py"))).hexdigest()[:16]
+
+
 def ensure_reference(problem: str, nx: int, method: str, n_steps: int,
                      t_end: float, sample_times: Sequence[float]) -> list:
     """Return reference spectra at the given sample times, building and
     caching on first use.  The cache entry is published atomically
-    (temp dir + rename), so a killed build never leaves a truncated entry."""
+    (temp dir + rename), so a killed build never leaves a truncated entry,
+    and the temp dir is removed on every exit path."""
     sample_times = [float(s) for s in sample_times]
-    payload = "problem=%s nx=%d method=%s n=%d t_end=%s samples=%s" % (
+    payload = "problem=%s nx=%d method=%s n=%d t_end=%s samples=%s code=%s" % (
         problem, nx, method, n_steps, _fmt(t_end),
-        ",".join(_fmt(s) for s in sample_times))
+        ",".join(_fmt(s) for s in sample_times), _CODE_DIGEST)
     digest = hashlib.sha1(payload.encode()).hexdigest()[:16]
     entry = os.path.join(cache_dir(), "%s-nx%d-%s-n%d-%s"
                          % (problem, nx, method, n_steps, digest))
@@ -139,17 +143,19 @@ def ensure_reference(problem: str, nx: int, method: str, n_steps: int,
                 "reference run (%s, n=%d) blew up at step %s"
                 % (method, n_steps, res["blowup_step"]))
         tmp = entry + ".tmp.%d" % os.getpid()
-        os.makedirs(tmp, exist_ok=True)
-        with open(os.path.join(tmp, "meta.txt"), "w", newline="\n") as f:
-            f.write(payload + "\n")
-        for i, (t_actual, y) in enumerate(res["samples"]):
-            write_spectrum(os.path.join(tmp, "snap-%04d.txt" % i),
-                           problem, t_actual, y)
         try:
+            os.makedirs(tmp, exist_ok=True)
+            with open(os.path.join(tmp, "meta.txt"), "w", newline="\n") as f:
+                f.write(payload + "\n")
+            for i, (t_actual, y) in enumerate(res["samples"]):
+                write_spectrum(os.path.join(tmp, "snap-%04d.txt" % i),
+                               problem, t_actual, y)
             os.replace(tmp, entry)
         except OSError:
-            if not os.path.isdir(entry):   # lost a race and target is broken
+            if not os.path.isdir(entry):   # no entry, not a lost race
                 raise
+        finally:
+            shutil.rmtree(tmp, ignore_errors=True)
     with open(os.path.join(entry, "meta.txt")) as f:
         if f.read().strip() != payload:
             raise ReferenceFailure("cache entry %s does not match its key" % entry)
@@ -239,11 +245,14 @@ def run_longtime(problem: str = "kdv", nx: int = 512, t_end: float = 160.0,
                  ref_method: str = "imrk4", ref_steps: int = 560000,
                  workers: int = 1, out_csv=None) -> dict:
     """Error-vs-time series for (method, modification) pairs against a cached
-    reference sampled on an even time grid."""
+    reference.  The even sample times snap to the run's step grid, which the
+    reference shares, so both are compared at the same times."""
     _check_methods([m for m, _ in runs] + [ref_method])
-    if ref_steps < 10 * n_steps:
-        raise ConfigError("reference steps must be >= 10x the run step count")
-    sample_times = [t_end * i / n_samples for i in range(1, n_samples + 1)]
+    if ref_steps < 10 * n_steps or ref_steps % n_steps:
+        raise ConfigError("reference steps must be a multiple (>= 10) of the "
+                          "run step count")
+    sample_times = [t_end * round(i * n_steps / n_samples) / n_steps
+                    for i in range(1, n_samples + 1)]
     ref = ensure_reference(problem, nx, ref_method, ref_steps, t_end,
                            sample_times)
     tasks = [(problem, nx, m, n_steps, t_end, mod, sample_times)
@@ -306,64 +315,6 @@ def run_solve(problem: str, nx: int, method: str, n_steps: int, t_end: float,
 
 # --- argument and config parsing ------------------------------------------------
 
-def _parse_angle(s: str) -> float:
-    s = s.strip()
-    try:
-        if s.startswith("pi"):
-            rest = s[2:]
-            if not rest:
-                return math.pi
-            if rest.startswith("/"):
-                return math.pi / float(rest[1:])
-            raise ValueError
-        return float(s)
-    except ValueError:
-        raise ConfigError("cannot parse angle: %r" % (s,)) from None
-
-
-def _parse_repartition(s: str) -> RepartitionSpec:
-    parts = s.strip().split(":")
-    kind = parts[0]
-    rho = eps = None
-    for p in parts[1:]:
-        if p.startswith("rho="):
-            rho = _parse_angle(p[4:])
-        elif p.startswith("eps="):
-            eps = float(p[4:])
-        elif p:
-            if kind == "identity":
-                eps = float(p)
-            else:
-                rho = _parse_angle(p)
-    try:
-        return RepartitionSpec(kind=kind, rho=rho, epsilon=eps)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
-
-
-def _parse_hyperviscosity(s: str) -> HyperviscositySpec:
-    parts = s.strip().split(":")
-    m = gamma = None
-    plain = []
-    for p in parts:
-        if p.startswith("m="):
-            m = int(p[2:])
-        elif p.startswith("gamma="):
-            gamma = float(p[6:])
-        elif p:
-            plain.append(p)
-    if m is None and plain:
-        m = int(plain.pop(0))
-    if gamma is None and plain:
-        gamma = float(plain.pop(0))
-    if m is None or gamma is None:
-        raise ConfigError("hyperviscosity needs m and gamma (m:gamma)")
-    try:
-        return HyperviscositySpec(m=m, gamma=gamma)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
-
-
 def _load_config(path) -> dict:
     cfg = {}
     try:
@@ -381,17 +332,19 @@ def _load_config(path) -> dict:
     return cfg
 
 
+def _cast(key: str, val, cast):
+    try:
+        return cast(val)
+    except (TypeError, ValueError) as e:
+        raise ConfigError("bad value for %s: %s" % (key, e)) from None
+
+
 def _get(args, cfg: dict, key: str, default=None, cast=str):
     """CLI flag wins, then config file, then default."""
     val = getattr(args, key, None)
     if val is None and key in cfg:
         val = cfg[key]
-    if val is None:
-        return default
-    try:
-        return cast(val)
-    except (TypeError, ValueError) as e:
-        raise ConfigError("bad value for %s: %s" % (key, e)) from None
+    return default if val is None else _cast(key, val, cast)
 
 
 def _csv_list(s, cast):
@@ -399,15 +352,15 @@ def _csv_list(s, cast):
 
 
 def _build_modification(args, cfg):
+    """--repartition KIND:.. or --hyperviscosity M:GAMMA as one spec."""
     rep_s = _get(args, cfg, "repartition")
     hyper_s = _get(args, cfg, "hyperviscosity")
     if rep_s and hyper_s:
         raise ConfigError("at most one of repartition/hyperviscosity")
-    if rep_s:
-        return _parse_repartition(rep_s)
-    if hyper_s:
-        return _parse_hyperviscosity(hyper_s)
-    return None
+    if rep_s and rep_s.split(":")[0].strip() not in REPARTITION_KINDS:
+        raise ConfigError("not a repartition: %r" % (rep_s,))
+    spec = "hyperviscosity:" + hyper_s if hyper_s else rep_s or "none"
+    return _cast("modification", spec, parse_modification)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -420,6 +373,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     run.add_argument("--problem")
     run.add_argument("--nx", type=int)
     run.add_argument("--t-end", dest="t_end", type=float)
+    modified = argparse.ArgumentParser(add_help=False, parents=[run])
+    modified.add_argument("--repartition", help="kind:rho=<angle>|eps=<value>")
+    modified.add_argument("--hyperviscosity", help="m:gamma")
 
     p = sub.add_parser("stability", help="classified stability-region maps")
     p.add_argument("--methods")
@@ -428,12 +384,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.add_argument("--k2-max", dest="k2_max", type=float)
     p.add_argument("--out")
 
-    p = sub.add_parser("converge", parents=[run],
+    p = sub.add_parser("converge", parents=[modified],
                        help="fixed-step refinement study")
     p.add_argument("--methods")
     p.add_argument("--steps")
-    p.add_argument("--repartition")
-    p.add_argument("--hyperviscosity")
     p.add_argument("--ref-method", dest="ref_method")
     p.add_argument("--ref-steps", dest="ref_steps", type=int)
     p.add_argument("--workers", type=int)
@@ -448,12 +402,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.add_argument("--workers", type=int)
     p.add_argument("--out")
 
-    p = sub.add_parser("solve", parents=[run],
+    p = sub.add_parser("solve", parents=[modified],
                        help="single run, snapshot output")
     p.add_argument("--method")
     p.add_argument("--steps")
-    p.add_argument("--repartition")
-    p.add_argument("--hyperviscosity")
     p.add_argument("--out")
 
     p = sub.add_parser("reference", parents=[run],
@@ -478,8 +430,8 @@ def _dispatch(args, cfg) -> int:
     cmd = args.command
     if cmd == "stability":
         methods = _csv_list(_get(args, cfg, "methods", "erk4"), str)
-        rhos = [_parse_angle(s) for s in
-                _csv_list(_get(args, cfg, "rho", "0"), str)]
+        rhos = _get(args, cfg, "rho", [0.0],
+                    lambda s: _csv_list(s, parse_angle))
         res_s = _get(args, cfg, "resolution", "600x200")
         try:
             n1, n2 = (int(v) for v in str(res_s).lower().split("x"))
@@ -514,13 +466,8 @@ def _dispatch(args, cfg) -> int:
             if not item:
                 continue
             name, _, modspec = item.partition(":")
-            mod = None
-            if modspec and modspec != "none":
-                if modspec.startswith("hyperviscosity:"):
-                    mod = _parse_hyperviscosity(modspec.split(":", 1)[1])
-                else:
-                    mod = _parse_repartition(modspec)
-            runs.append((name, mod))
+            runs.append((name, _cast("runs", modspec or "none",
+                                     parse_modification)))
         series = run_longtime(
             problem=_get(args, cfg, "problem", "kdv"),
             nx=_get(args, cfg, "nx", 512, int),
@@ -549,9 +496,8 @@ def _dispatch(args, cfg) -> int:
 
     if cmd == "reference":
         t_end = _get(args, cfg, "t_end", 40.0, float)
-        samples_s = _get(args, cfg, "samples")
-        sample_times = ([float(s) for s in _csv_list(samples_s, float)]
-                        if samples_s else [t_end])
+        sample_times = _get(args, cfg, "samples", [t_end],
+                            lambda s: _csv_list(s, float))
         ensure_reference(_get(args, cfg, "problem", "zds"),
                          _get(args, cfg, "nx", 128, int),
                          _get(args, cfg, "method", "rk4"),

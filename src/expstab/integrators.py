@@ -1,7 +1,7 @@
 """Time steppers for semilinear diagonal problems y' = L y + N(t, y).
 
-All steppers operate elementwise on a diagonal L (spectral operators or
-flattened stability grids), sharing one code path for both uses:
+Every stepper maps (t, y) to the y one step later, elementwise on a diagonal
+L (spectral operators or flattened stability grids) for both uses:
 
   erk4      4-stage exponential Runge-Kutta (Krogstad), order 4
   esdc6     exponential spectral deferred correction, 4 Lobatto nodes,
@@ -24,7 +24,7 @@ import numpy as np
 from .phicore import PhiCache
 
 __all__ = [
-    "DiagonalProblem", "StepperState", "MethodSpec", "METHODS", "make_method",
+    "DiagonalProblem", "MethodSpec", "METHODS", "make_method",
     "ESDCTableau", "EPBMTableau", "ButcherPair",
     "esdc_tableau", "epbm_tableau", "imrk_tableau",
     "step_erk4", "step_esdc6", "step_epbm5", "step_imrk4", "step_rk4",
@@ -42,14 +42,6 @@ class DiagonalProblem:
     nonlinear: Callable[[float, np.ndarray], np.ndarray]
     grid: object = None       # spectral.PeriodicGrid
     name: str = ""
-
-
-@dataclass
-class StepperState:
-    """One-step methods carry the solution y at t; the block method carries
-    as y the (5, n) block of node values spaced by its composite step h."""
-    t: float
-    y: np.ndarray
 
 
 # --- tableaux ----------------------------------------------------------------
@@ -139,19 +131,17 @@ def imrk_tableau() -> ButcherPair:
 
 
 # --- steppers ----------------------------------------------------------------
-# Every stepper takes (problem, state, h, phis, tableau); the tableau is None
-# for the families that have none.
+# Every stepper takes (problem, t, y, h, phis, tableau) and returns the new y
+# (the block method's y is its (5, n) block of node values); the tableau is
+# None for the families that have none.
 
-def step_exp_euler(problem, state, h, phis: PhiCache,
-                   tableau=None) -> StepperState:
+def step_exp_euler(problem, t, y, h, phis: PhiCache, tableau=None) -> np.ndarray:
     T = phis.table(h)
-    y = T.values[0] * state.y + h * T.values[1] * problem.nonlinear(state.t, state.y)
-    return StepperState(t=state.t + h, y=y)
+    return T.values[0] * y + h * T.values[1] * problem.nonlinear(t, y)
 
 
-def step_erk4(problem, state, h, phis: PhiCache, tableau=None) -> StepperState:
+def step_erk4(problem, t, y, h, phis: PhiCache, tableau=None) -> np.ndarray:
     """Krogstad exponential RK4; reduces to classical RK4 at L = 0."""
-    t, y = state.t, state.y
     N = problem.nonlinear
     Th = phis.table(0.5 * h)
     Tf = phis.table(h)
@@ -165,15 +155,13 @@ def step_erk4(problem, state, h, phis: PhiCache, tableau=None) -> StepperState:
     K2 = N(t + 0.5 * h, Y2)
     Y3 = e1 * y + h * ((p1 - 2.0 * p2) * K0 + 2.0 * p2 * K2)
     K3 = N(t + h, Y3)
-    y1 = e1 * y + h * ((p1 - 3.0 * p2 + 4.0 * p3) * K0
-                       + (2.0 * p2 - 4.0 * p3) * (K1 + K2)
-                       + (-p2 + 4.0 * p3) * K3)
-    return StepperState(t=t + h, y=y1)
+    return e1 * y + h * ((p1 - 3.0 * p2 + 4.0 * p3) * K0
+                         + (2.0 * p2 - 4.0 * p3) * (K1 + K2)
+                         + (-p2 + 4.0 * p3) * K3)
 
 
-def step_esdc6(problem, state, h, phis: PhiCache,
-               tableau: ESDCTableau) -> StepperState:
-    t0, y0 = state.t, state.y
+def step_esdc6(problem, t0, y0, h, phis: PhiCache,
+               tableau: ESDCTableau) -> np.ndarray:
     N = problem.nonlinear
     eta, delta, W = tableau.nodes, tableau.delta, tableau.weights
     T = [phis.table(h * d) for d in delta]    # delta[0] == delta[2]: 2 distinct
@@ -200,7 +188,7 @@ def step_esdc6(problem, state, h, phis: PhiCache,
             if j < 2 or not last:   # node-3 value of the final sweep is unused
                 Nval[j + 1] = N(t0 + h * eta[j + 1], Ynew[j + 1])
         Y = Ynew
-    return StepperState(t=t0 + h, y=Y[3])
+    return Y[3]
 
 
 def _epbm_pass(problem, block, t_base, r, alpha, phis, tab) -> np.ndarray:
@@ -225,21 +213,19 @@ def _epbm_pass(problem, block, t_base, r, alpha, phis, tab) -> np.ndarray:
     return out
 
 
-def step_epbm5(problem, state, h, phis: PhiCache,
-               tableau: EPBMTableau) -> StepperState:
+def step_epbm5(problem, t, block, h, phis: PhiCache,
+               tableau: EPBMTableau) -> np.ndarray:
     """Two-pass composite step: predictor pass advances the block by h,
     corrector pass rebuilds it about the advanced node 1."""
-    mid = _epbm_pass(problem, state.y, state.t, h, 1.0, phis, tableau)
-    new = _epbm_pass(problem, mid, state.t + h, h, 0.0, phis, tableau)
-    return StepperState(t=state.t + h, y=new)
+    mid = _epbm_pass(problem, block, t, h, 1.0, phis, tableau)
+    return _epbm_pass(problem, mid, t + h, h, 0.0, phis, tableau)
 
 
-def step_imrk4(problem, state, h, phis: PhiCache,
-               tableau: ButcherPair) -> StepperState:
+def step_imrk4(problem, t, y, h, phis: PhiCache,
+               tableau: ButcherPair) -> np.ndarray:
     """Additive RK step: diagonal L solved implicitly, N explicit.
     All implicit diagonal entries share gamma, so one denominator serves
     every stage."""
-    t, y = state.t, state.y
     L = problem.L_diag
     N = problem.nonlinear
     AI, AE, b, c = tableau.A_implicit, tableau.A_explicit, tableau.b, tableau.c
@@ -264,11 +250,10 @@ def step_imrk4(problem, state, h, phis: PhiCache,
     for i in range(6):
         if b[i] != 0.0:
             y1 += (h * b[i]) * (lin[i] + nl[i])
-    return StepperState(t=t + h, y=y1)
+    return y1
 
 
-def step_rk4(problem, state, h, phis: PhiCache, tableau=None) -> StepperState:
-    t, y = state.t, state.y
+def step_rk4(problem, t, y, h, phis: PhiCache, tableau=None) -> np.ndarray:
     L = problem.L_diag
     N = problem.nonlinear
     f = lambda tt, yy: L * yy + N(tt, yy)
@@ -276,7 +261,7 @@ def step_rk4(problem, state, h, phis: PhiCache, tableau=None) -> StepperState:
     k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
     k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
     k4 = f(t + h, y + h * k3)
-    return StepperState(t=t + h, y=y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 @dataclass(frozen=True)
@@ -320,12 +305,12 @@ def epbm_initialize(problem, y0: np.ndarray, t0: float, r: float,
     z = tableau.z
     block = np.empty((5,) + y0.shape, dtype=np.complex128)
 
-    def span(prob, phis, y, ta, span_len):
-        st = StepperState(t=ta, y=y)
+    def span(prob, phis, y, t, span_len):
         hh = span_len / _STARTUP_SUBSTEPS
         for _ in range(_STARTUP_SUBSTEPS):
-            st = step_erk4(prob, st, hh, phis)
-        return st.y
+            y = step_erk4(prob, t, y, hh, phis)
+            t = t + hh
+        return y
 
     # node 1 sits at t0 - r: integrate the time-reversed field forward
     reversed_prob = DiagonalProblem(
@@ -352,13 +337,12 @@ class IntegrationResult:
 
 
 def integrate(problem, method: MethodSpec, y0: np.ndarray,
-              t_span: tuple[float, float], n_steps: int,
-              repartition=None, hyperviscosity=None,
+              t_span: tuple[float, float], n_steps: int, modification=None,
               sample_times: Optional[Sequence[float]] = None) -> IntegrationResult:
     """Fixed-step integration with blow-up detection and nearest-step sampling.
 
-    `repartition` / `hyperviscosity` (mutually exclusive) are applied to the
-    problem before stepping; see expstab.spectral.
+    `modification` (a spectral.RepartitionSpec or HyperviscositySpec) maps
+    the problem to the one stepped: `modification.apply(problem, h)`.
 
     The block method takes n+1 composite steps of h: node 1 of the block after
     step m sits at t0 + (m-1) h, so the endpoint is exact after n+1.  Its
@@ -371,17 +355,15 @@ def integrate(problem, method: MethodSpec, y0: np.ndarray,
     n_steps = int(n_steps)
     if not (t1 > t0) or n_steps < 1:
         raise ValueError("need t1 > t0 and n_steps >= 1")
-    if repartition is not None and hyperviscosity is not None:
-        raise ValueError("at most one of repartition/hyperviscosity may be set")
-    h = (t1 - t0) / n_steps
-    from . import spectral      # spectral builds on this module
-    base_problem = problem
-    if repartition is not None:
-        problem = spectral.apply_repartition(problem, repartition)
-    elif hyperviscosity is not None:
-        problem = spectral.apply_hyperviscosity(problem, hyperviscosity, h)
-
     y0 = np.asarray(y0, dtype=np.complex128)
+    if y0.shape != np.shape(problem.L_diag):
+        raise ValueError("y0 has shape %s, L_diag has shape %s"
+                         % (y0.shape, np.shape(problem.L_diag)))
+    if modification is not None and not hasattr(modification, "apply"):
+        raise ValueError("modification %r has no apply()" % (modification,))
+    h = (t1 - t0) / n_steps
+    stepped = problem if modification is None else modification.apply(problem, h)
+
     wants = list(float(s) for s in sample_times) if sample_times else []
     samples: list = [None] * len(wants)
     lag = 1 if method.block else 0
@@ -400,19 +382,19 @@ def integrate(problem, method: MethodSpec, y0: np.ndarray,
         samples[i] = (t0, y0.copy())
 
     t, y = t0, y0     # the last finite (time, solution) pair
+    ts, state = t0, y0    # the stepper's time and state
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        state = StepperState(t=t0, y=y0)
         if method.block:
-            state.y = epbm_initialize(base_problem, y0, t0, h, method.tableau)
-            if not np.isfinite(state.y).all():
+            state = epbm_initialize(problem, y0, t0, h, method.tableau)
+            if not np.isfinite(state).all():
                 return result(t, y, blowup_step=0)
-        phis = PhiCache(problem.L_diag)
+        phis = PhiCache(stepped.L_diag)
         for m in range(1, n_steps + lag + 1):
-            state = method.step(problem, state, h, phis, method.tableau)
-            if not np.isfinite(state.y).all():
+            state = method.step(stepped, ts, state, h, phis, method.tableau)
+            ts = ts + h
+            if not np.isfinite(state).all():
                 return result(t, y, blowup_step=m)
-            t, y = ((t0 + (m - 1) * h, state.y[0]) if method.block
-                    else (state.t, state.y))
+            t, y = (t0 + (m - 1) * h, state[0]) if method.block else (ts, state)
             for i in sample_at.get(m, ()):
                 samples[i] = (t, y.copy())
     return result(t1 if method.block else t, y)

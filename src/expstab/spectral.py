@@ -19,9 +19,9 @@ from .integrators import DiagonalProblem
 
 __all__ = [
     "PeriodicGrid", "RepartitionSpec", "HyperviscositySpec", "build_zds",
-    "build_kdv", "dealiased_product", "repartition_shift", "apply_repartition",
-    "apply_hyperviscosity", "spectral_radius_fraction", "write_spectrum",
-    "read_spectrum",
+    "build_kdv", "dealiased_product", "repartition_shift", "parse_angle",
+    "parse_modification", "REPARTITION_KINDS", "spectral_radius_fraction",
+    "write_spectrum", "read_spectrum",
 ]
 
 
@@ -160,7 +160,7 @@ def build_kdv(nx: int = 512, delta: float = 0.022
 
 # --- stabilizing modifications ------------------------------------------------
 
-_REPARTITION_KINDS = ("abs_k3", "k2", "identity")
+REPARTITION_KINDS = ("abs_k3", "k2", "identity")
 
 
 @dataclass(frozen=True)
@@ -185,7 +185,7 @@ class RepartitionSpec:
     epsilon: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in _REPARTITION_KINDS:
+        if self.kind not in REPARTITION_KINDS:
             raise ValueError("unknown repartition kind: %r" % (self.kind,))
         if self.epsilon is None:
             if self.rho is None:
@@ -199,6 +199,17 @@ class RepartitionSpec:
         if self.epsilon is not None:
             return "%s:eps=%.17g" % (self.kind, self.epsilon)
         return "%s:rho=%.17g" % (self.kind, self.rho)
+
+    def apply(self, problem: DiagonalProblem, dt: float) -> DiagonalProblem:
+        """The repartitioned problem: the same equation, so `dt` is unused."""
+        shift = repartition_shift(problem.L_diag, self, problem.grid)
+        base = problem.nonlinear
+
+        def nonlinear(t, u_hat):
+            return base(t, u_hat) - shift * u_hat
+
+        return DiagonalProblem(problem.L_diag + shift, nonlinear, problem.grid,
+                               problem.name)
 
 
 def _unit_modulus_wavenumber(L: np.ndarray, grid: PeriodicGrid) -> float:
@@ -237,19 +248,6 @@ def repartition_shift(L: np.ndarray, spec: RepartitionSpec,
     return eps * D
 
 
-def apply_repartition(problem: DiagonalProblem,
-                      spec: RepartitionSpec) -> DiagonalProblem:
-    """Return the repartitioned problem; mathematically the same equation."""
-    shift = repartition_shift(problem.L_diag, spec, problem.grid)
-    base = problem.nonlinear
-
-    def nonlinear(t, u_hat):
-        return base(t, u_hat) - shift * u_hat
-
-    return DiagonalProblem(problem.L_diag + shift, nonlinear, problem.grid,
-                           problem.name)
-
-
 @dataclass(frozen=True)
 class HyperviscositySpec:
     """Add artificial dissipation -(dt)^(q+1) * gamma * k^m to L (this
@@ -267,15 +265,60 @@ class HyperviscositySpec:
     def describe(self) -> str:
         return "hyperviscosity:m=%d:gamma=%.17g" % (self.m, self.gamma)
 
+    def apply(self, problem: DiagonalProblem, dt: float) -> DiagonalProblem:
+        if not dt > 0:
+            raise ValueError("dt must be positive")
+        if problem.grid is None:
+            raise ValueError("hyperviscosity needs the problem grid")
+        k = problem.grid.wavenumbers
+        damp = (dt ** (self.q + 1)) * self.gamma * k ** self.m
+        return DiagonalProblem(problem.L_diag - damp, problem.nonlinear,
+                               problem.grid, problem.name)
 
-def apply_hyperviscosity(problem: DiagonalProblem, spec: HyperviscositySpec,
-                         dt: float) -> DiagonalProblem:
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    k = problem.grid.wavenumbers
-    damp = (dt ** (spec.q + 1)) * spec.gamma * k ** spec.m
-    return DiagonalProblem(problem.L_diag - damp, problem.nonlinear,
-                           problem.grid, problem.name)
+
+def parse_angle(s: str) -> float:
+    """'pi', 'pi/<divisor>' or a plain float."""
+    head, slash, div = s.strip().partition("/")
+    try:
+        if head == "pi":
+            return math.pi / float(div) if slash else math.pi
+        if not slash:
+            return float(head)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError("cannot parse angle: %r" % (s,))
+
+
+# field names of each modification kind, in positional order
+_FIELDS = {"hyperviscosity": ("m", "gamma"), "identity": ("eps", "rho")}
+_CASTS = {"m": int, "gamma": float, "eps": float, "rho": parse_angle}
+
+
+def parse_modification(s: str):
+    """Inverse of `describe()`: 'none' is None, otherwise 'kind:field:..'
+    with keyed fields ('rho=pi/64', 'eps=8', 'm=8', 'gamma=1e10') or bare
+    ones named by position: 'hyperviscosity:m:gamma', 'identity:eps' and
+    'abs_k3:rho' / 'k2:rho'."""
+    s = s.strip()
+    if s == "none":
+        return None
+    kind, *fields = s.split(":")
+    names = _FIELDS.get(kind, ("rho", "eps"))
+    fields = [f for f in fields if f]
+    if len(fields) > len(names):
+        raise ValueError("too many fields in %r" % (s,))
+    vals = {}
+    for name, field in zip(names, fields):
+        key, _, val = field.rpartition("=")
+        if key and key not in names:
+            raise ValueError("unknown field %r in %r" % (key, s))
+        vals[key or name] = _CASTS[key or name](val)
+    if kind != "hyperviscosity":
+        return RepartitionSpec(kind, rho=vals.get("rho"),
+                               epsilon=vals.get("eps"))
+    if len(vals) < 2:
+        raise ValueError("hyperviscosity needs m and gamma (m:gamma)")
+    return HyperviscositySpec(**vals)
 
 
 def spectral_radius_fraction(L_diag: np.ndarray, h: float,

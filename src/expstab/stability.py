@@ -12,9 +12,10 @@ eps*D = -tan(rho)*|k1| moves from the explicit slot into the linear one,
 which rotates the linear eigenvalue by rho into the left half-plane.
 
 Every probe builds that problem as a DiagonalProblem and executes literal
-steps of the method's production stepper (`MethodSpec.step`).  One-step
-methods are probed by one h=1 step from y=1; the block method gets a 5x5
-transfer matrix whose spectral radius (plus a power-boundedness check near 1)
+steps of the method's production stepper, `MethodSpec.step(problem, t, y, h,
+phis, tableau)`, from t=0.  One-step methods are probed by one h=1 step from
+y=1; the block method gets a 5x5 transfer matrix, one composite step of each
+basis block, whose spectral radius (plus a power-boundedness check near 1)
 decides stability.
 """
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .integrators import DiagonalProblem, MethodSpec, StepperState
+from .integrators import DiagonalProblem, MethodSpec
 # perfbench/tracer.py times stability steps by rebinding these six names on
 # this module; the probes step through `method.step`, so the names are kept
 # only for that lookup.
@@ -74,10 +75,9 @@ def _test_problem(k1, k2, angle: Optional[RepartitionSpec]) -> DiagonalProblem:
 
 def _one_step_R(method: MethodSpec, problem: DiagonalProblem) -> np.ndarray:
     """Execute one literal h=1 step from y=1."""
-    state = StepperState(t=0.0, y=np.ones(problem.L_diag.shape,
-                                          dtype=np.complex128))
-    return method.step(problem, state, 1.0, PhiCache(problem.L_diag),
-                       method.tableau).y
+    y = np.ones(problem.L_diag.shape, dtype=np.complex128)
+    return method.step(problem, 0.0, y, 1.0, PhiCache(problem.L_diag),
+                       method.tableau)
 
 
 def stability_scalar(method: MethodSpec, point: DahlquistPoint,
@@ -100,9 +100,8 @@ def _epbm_transfer_batch(method: MethodSpec,
     for col in range(5):
         block = np.zeros((5, n), dtype=np.complex128)
         block[col] = 1.0
-        out = method.step(problem, StepperState(t=0.0, y=block), 1.0, phis,
-                          method.tableau)
-        M[:, :, col] = out.y.T
+        M[:, :, col] = method.step(problem, 0.0, block, 1.0, phis,
+                                   method.tableau).T
     return M
 
 

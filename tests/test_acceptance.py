@@ -75,28 +75,24 @@ def zds_ladders(zds_reference):
     """Relative-error ladders on the ZDS problem: rows are (n, ok, err)."""
     prob, u0 = es.build_zds(128)
 
-    def ladder(family, repartition=None, hyperviscosity=None):
+    def ladder(family, modification=None):
         rows = []
         meth = es.make_method(family)
         for n in STEPS:
             r = es.integrate(prob, meth, u0, (0.0, 40.0), n,
-                             repartition=repartition,
-                             hyperviscosity=hyperviscosity)
+                             modification=modification)
             err = relative_error(r.y, zds_reference) if r.ok else float("nan")
             rows.append((n, r.ok, err))
         return rows
 
     out = {f: ladder(f) for f in ("erk4", "esdc6", "epbm5", "imrk4")}
-    out["abs_k3"] = ladder("erk4",
-                           repartition=es.RepartitionSpec("abs_k3",
-                                                          rho=math.pi / 128))
-    out["identity"] = ladder("erk4",
-                             repartition=es.RepartitionSpec("identity",
-                                                            epsilon=8.0))
-    out["m8_1e10"] = ladder("erk4", hyperviscosity=es.HyperviscositySpec(8, 1e10))
+    out["abs_k3"] = ladder("erk4", es.RepartitionSpec("abs_k3",
+                                                      rho=math.pi / 128))
+    out["identity"] = ladder("erk4", es.RepartitionSpec("identity",
+                                                        epsilon=8.0))
+    out["m8_1e10"] = ladder("erk4", es.HyperviscositySpec(8, 1e10))
     for g in (1e6, 1e8, 1e10):
-        out["m4_%g" % g] = ladder("erk4",
-                                  hyperviscosity=es.HyperviscositySpec(4, g))
+        out["m4_%g" % g] = ladder("erk4", es.HyperviscositySpec(4, g))
     return out
 
 

@@ -2,12 +2,13 @@
 drivers, CSV outputs, and exit codes."""
 import math
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 import expstab.cli as cli
-from expstab import RepartitionSpec, read_spectrum
+from expstab import HyperviscositySpec, RepartitionSpec, read_spectrum
 from expstab.cli import (
     ConfigError,
     ReferenceFailure,
@@ -25,51 +26,43 @@ BLOWUP_ARGS = ("zds", 32, "rk4", 40, 40.0)   # h = 1 on |L| up to 64: diverges
 
 # --- parsing --------------------------------------------------------------------
 
-class TestParseAngle:
-    def test_values(self):
-        assert cli._parse_angle("pi") == math.pi
-        assert cli._parse_angle("pi/64") == math.pi / 64
-        assert cli._parse_angle("0.5") == 0.5
-        assert cli._parse_angle(" 0 ") == 0.0
+class TestModificationFlags:
+    """The grammar itself is tested with spectral.parse_modification; these
+    are the flags' own rules, with errors raised as ConfigError."""
 
-    def test_rejects(self):
-        with pytest.raises(ConfigError):
-            cli._parse_angle("two")
-        with pytest.raises(ConfigError):
-            cli._parse_angle("pi*2")
+    @staticmethod
+    def build(repartition=None, hyperviscosity=None, cfg=None):
+        import argparse
+        args = argparse.Namespace(repartition=repartition,
+                                  hyperviscosity=hyperviscosity)
+        return cli._build_modification(args, cfg or {})
 
-
-class TestParseRepartition:
-    def test_keyed_forms(self):
-        spec = cli._parse_repartition("abs_k3:rho=pi/64")
-        assert (spec.kind, spec.rho, spec.epsilon) == ("abs_k3", math.pi / 64, None)
-        spec = cli._parse_repartition("identity:eps=8")
-        assert (spec.kind, spec.rho, spec.epsilon) == ("identity", None, 8.0)
-
-    def test_positional_forms(self):
-        # a bare value is an epsilon for identity, an angle otherwise
-        assert cli._parse_repartition("identity:16").epsilon == 16.0
-        assert cli._parse_repartition("k2:pi/3").rho == math.pi / 3
-
-    def test_rejects(self):
-        with pytest.raises(ConfigError):
-            cli._parse_repartition("abs_k3")
-        with pytest.raises(ConfigError):
-            cli._parse_repartition("bogus:rho=0.1")
-
-
-class TestParseHyperviscosity:
     def test_forms(self):
-        spec = cli._parse_hyperviscosity("m=8:gamma=1e10")
-        assert (spec.m, spec.gamma) == (8, 1e10)
-        spec = cli._parse_hyperviscosity("4:1e6")
-        assert (spec.m, spec.gamma) == (4, 1e6)
+        assert self.build() is None
+        assert self.build("abs_k3:rho=pi/64") == RepartitionSpec(
+            "abs_k3", rho=math.pi / 64)
+        assert self.build("identity:16").epsilon == 16.0
+        # --hyperviscosity takes m:gamma without the kind prefix
+        assert self.build(hyperviscosity="m=8:gamma=1e10") \
+            == HyperviscositySpec(8, 1e10)
+        assert self.build(hyperviscosity="4:1e6") == HyperviscositySpec(4, 1e6)
+        assert self.build(cfg={"hyperviscosity": "6:1"}) \
+            == HyperviscositySpec(6, 1.0)
 
-    def test_rejects(self):
+    @pytest.mark.parametrize("rep, hyper", [
+        ("abs_k3", None), ("bogus:rho=0.1", None), ("k2:two", None),
+        ("hyperviscosity:8:1e10", None), ("none", None),
+        (None, "8"), (None, "5:1.0"),
+        ("identity:1", "8:1e10"),
+    ])
+    def test_rejects(self, rep, hyper):
         with pytest.raises(ConfigError):
-            cli._parse_hyperviscosity("8")
-        with pytest.raises(ConfigError):
-            cli._parse_hyperviscosity("5:1.0")
+            self.build(rep, hyper)
+
+    def test_bad_angle_exit_code(self, tmp_path):
+        rc = main(["stability", "--methods", "erk4", "--rho", "pi*2",
+                   "--out", str(tmp_path)])
+        assert rc == 2
 
 
 class TestConfig:
@@ -146,7 +139,9 @@ class TestEnsureReference:
             or os.listdir(tmp_path / "cache") == []
 
     def test_publish_is_atomic(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("EXPSTAB_CACHE_DIR", str(tmp_path / "cache"))
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("EXPSTAB_CACHE_DIR", str(cache))
+        replace = os.replace
 
         def boom(src, dst):
             raise OSError("simulated rename failure")
@@ -155,9 +150,21 @@ class TestEnsureReference:
             m.setattr(os, "replace", boom)
             with pytest.raises(OSError):
                 ensure_reference("zds", 32, "rk4", 500, 1.0, [1.0])
-        # no half-published entry: a later call rebuilds cleanly
+        # neither a half-published entry nor the temp dir is left behind
+        assert os.listdir(cache) == []
         got = ensure_reference("zds", 32, "rk4", 500, 1.0, [1.0])
         assert len(got) == 1 and np.isfinite(got[0][1]).all()
+
+        def lose_race(src, dst):
+            shutil.copytree(src, dst)       # another build published first
+            replace(src, dst)               # fails: dst is not empty
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "replace", lose_race)
+            again = ensure_reference("zds", 32, "rk4", 500, 2.0, [2.0])
+        assert len(again) == 1 and np.isfinite(again[0][1]).all()
+        assert not [e for e in os.listdir(cache) if ".tmp." in e]
+        assert len(os.listdir(cache)) == 2
 
 
 # --- run drivers ----------------------------------------------------------------
@@ -238,6 +245,20 @@ class TestRunLongtime:
         assert lines[0] == "method,modification,t,relative_error,status"
         assert len(lines) == 11
 
+    def test_samples_align_with_reference(self, tmp_path, monkeypatch):
+        # 70 steps do not split into 3 even samples: each sample must snap
+        # to a step time that the 700-step reference also hits, or the
+        # errors show a sawtooth of ~3e-3 from comparing different times
+        monkeypatch.setenv("EXPSTAB_CACHE_DIR", str(tmp_path / "cache"))
+        series = run_longtime(problem="kdv", nx=64, t_end=0.5, n_steps=70,
+                              runs=[("erk4", None)], n_samples=3,
+                              ref_method="imrk4", ref_steps=700, workers=1)
+        rows = series[("erk4", "none")]
+        assert [t for t, _, _ in rows] == pytest.approx(
+            [0.5 * 23 / 70, 0.5 * 47 / 70, 0.5], abs=1e-12)
+        assert all(status == "ok" for _, _, status in rows)
+        assert all(err < 2e-6 for _, err, _ in rows)
+
     def test_blowup_trailing_row(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EXPSTAB_CACHE_DIR", str(tmp_path / "cache"))
         series = run_longtime(problem="zds", nx=32, t_end=40.0, n_steps=40,
@@ -252,6 +273,9 @@ class TestRunLongtime:
         with pytest.raises(ConfigError):
             run_longtime(problem="kdv", nx=64, runs=[("erk4", None)],
                          n_steps=200, ref_steps=500)
+        with pytest.raises(ConfigError):    # not a multiple of the steps
+            run_longtime(problem="kdv", nx=64, runs=[("erk4", None)],
+                         n_steps=200, ref_steps=2100)
 
 
 def test_run_stability_maps(tmp_path):
@@ -318,6 +342,12 @@ class TestMain:
         rc = main(["reference", "--problem", "zds", "--nx", "32",
                    "--method", "rk4", "--steps", "40", "--t-end", "40.0"])
         assert rc == 3
+
+    def test_bad_sample_times_exit_code(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("EXPSTAB_CACHE_DIR", str(tmp_path / "cache"))
+        rc = main(["reference", "--problem", "zds", "--nx", "32",
+                   "--samples", "0.5,soon"])
+        assert rc == 2
 
     def test_stability_command(self, tmp_path):
         out = tmp_path / "maps"

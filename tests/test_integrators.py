@@ -15,7 +15,7 @@ from expstab import (
     integrate,
     make_method,
 )
-from expstab.integrators import PhiCache, StepperState, step_epbm5, step_erk4, step_rk4
+from expstab.integrators import PhiCache, step_epbm5, step_erk4, step_rk4
 
 from epbm_oracle import closed_form_vmap
 
@@ -135,9 +135,9 @@ EPBM5_TRANSFER_ROW0 = np.array([
 class TestFrozenOneStep:
     def test_erk4(self):
         prob = scalar_problem(Z1, Z2)
-        st = step_erk4(prob, StepperState(t=0.0, y=np.array([1.0 + 0j])),
-                       1.0, PhiCache(prob.L_diag))
-        assert abs(st.y[0] - ERK4_ONE_STEP) < 5e-13 * abs(ERK4_ONE_STEP)
+        y = step_erk4(prob, 0.0, np.array([1.0 + 0j]), 1.0,
+                      PhiCache(prob.L_diag))
+        assert abs(y[0] - ERK4_ONE_STEP) < 5e-13 * abs(ERK4_ONE_STEP)
 
     def test_esdc6(self):
         prob = scalar_problem(Z1, Z2)
@@ -154,9 +154,8 @@ class TestFrozenOneStep:
         for col in range(5):
             block = np.zeros((5, 1), dtype=np.complex128)
             block[col, 0] = 1.0
-            out = step_epbm5(prob, StepperState(t=0.0, y=block), 1.0, phis,
-                             epbm_tableau())
-            M[:, col] = out.y[:, 0]
+            M[:, col] = step_epbm5(prob, 0.0, block, 1.0, phis,
+                                   epbm_tableau())[:, 0]
         assert np.max(np.abs(M[0] - EPBM5_TRANSFER_ROW0)) < 5e-13
 
 
@@ -168,18 +167,17 @@ def test_erk4_reduces_to_rk4_at_zero_L():
     y0 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     prob = DiagonalProblem(L_diag=np.zeros(6, dtype=np.complex128),
                            nonlinear=lambda t, y: np.sin(t + 0.3) * y * 1.1)
-    a = step_erk4(prob, StepperState(t=0.4, y=y0.copy()), 0.17, PhiCache(prob.L_diag))
-    b = step_rk4(prob, StepperState(t=0.4, y=y0.copy()), 0.17, PhiCache(prob.L_diag))
-    assert np.max(np.abs(a.y - b.y)) < 1e-14
+    a = step_erk4(prob, 0.4, y0.copy(), 0.17, PhiCache(prob.L_diag))
+    b = step_rk4(prob, 0.4, y0.copy(), 0.17, PhiCache(prob.L_diag))
+    assert np.max(np.abs(a - b)) < 1e-14
 
 
 def test_rk4_linear_step_is_truncated_taylor():
     z = 0.3 - 0.8j
     prob = DiagonalProblem(L_diag=np.array([z]), nonlinear=lambda t, y: 0.0 * y)
-    st = step_rk4(prob, StepperState(t=0.0, y=np.array([1.0 + 0j])), 1.0,
-                  PhiCache(prob.L_diag))
+    y = step_rk4(prob, 0.0, np.array([1.0 + 0j]), 1.0, PhiCache(prob.L_diag))
     taylor = 1.0 + z + z ** 2 / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0
-    assert abs(st.y[0] - taylor) < 1e-15
+    assert abs(y[0] - taylor) < 1e-15
 
 
 def test_exp_euler_exact_on_linear_problem():
@@ -314,13 +312,25 @@ def test_integrate_validation():
                   (0.0, 1.0), 10)
 
 
-def test_integrate_rejects_double_modification():
+@pytest.mark.parametrize("case, match", [
+    ("short_y0", r"\(31,\).*\(32,\)"),
+    ("string_modification", "apply"),
+    ("hyperviscosity_without_grid", "grid"),
+])
+def test_integrate_rejects_bad_input(case, match):
     import expstab as es
     prob, u0 = es.build_zds(32)
-    with pytest.raises(ValueError):
-        es.integrate(prob, make_method("erk4"), u0, (0.0, 1.0), 10,
-                     repartition=es.RepartitionSpec("identity", epsilon=1.0),
-                     hyperviscosity=es.HyperviscositySpec(4, 1.0))
+    mod = None
+    if case == "short_y0":
+        u0 = u0[:31]
+    elif case == "string_modification":
+        mod = "abs_k3:rho=0.1"
+    else:
+        prob = DiagonalProblem(prob.L_diag, prob.nonlinear)
+        mod = es.HyperviscositySpec(4, 1.0)
+    with pytest.raises(ValueError, match=match):
+        integrate(prob, make_method("erk4"), u0, (0.0, 1.0), 10,
+                  modification=mod)
 
 
 def test_families_listing():

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import expstab as es
 from expstab.spectral import _Dealias
@@ -201,7 +202,7 @@ class TestRepartition:
         # L^ u + N^(u) must equal L u + N(u): repartitioning only moves a
         # diagonal between the two sides.
         prob, _ = es.build_zds(64)
-        mod = es.apply_repartition(prob, spec)
+        mod = spec.apply(prob, 0.1)
         u = rng_spectrum(64, 11, max_index=21)
         f0 = prob.L_diag * u + prob.nonlinear(0.0, u)
         f1 = mod.L_diag * u + mod.nonlinear(0.0, u)
@@ -211,7 +212,7 @@ class TestRepartition:
     def test_abs_k3_rotates_all_eigenvalues(self):
         rho = math.pi / 32
         prob, _ = es.build_zds(128)
-        mod = es.apply_repartition(prob, es.RepartitionSpec("abs_k3", rho=rho))
+        mod = es.RepartitionSpec("abs_k3", rho=rho).apply(prob, 0.1)
         L = mod.L_diag
         k = prob.grid.wavenumbers
         ang = np.angle(L[k > 0])
@@ -222,7 +223,7 @@ class TestRepartition:
     def test_k2_rotation_pivots_at_unit_modulus(self):
         rho = math.pi / 8
         prob, _ = es.build_zds(128)
-        mod = es.apply_repartition(prob, es.RepartitionSpec("k2", rho=rho))
+        mod = es.RepartitionSpec("k2", rho=rho).apply(prob, 0.1)
         # eps = tan(rho); |L| = k^3 = 1 at k = 1 (index 4), which is rotated
         # by exactly rho; smaller eigenvalues over-rotate, larger under-rotate
         assert np.angle(mod.L_diag[4]) == pytest.approx(math.pi / 2 + rho,
@@ -234,7 +235,7 @@ class TestRepartition:
 
     def test_identity_shifts_uniformly(self):
         prob, _ = es.build_zds(64)
-        mod = es.apply_repartition(prob, es.RepartitionSpec("identity", epsilon=8.0))
+        mod = es.RepartitionSpec("identity", epsilon=8.0).apply(prob, 0.1)
         assert np.allclose(mod.L_diag, prob.L_diag - 8.0, rtol=0, atol=0)
 
     def test_validation(self):
@@ -250,7 +251,7 @@ class TestRepartition:
             es.RepartitionSpec("k2", epsilon=-1.0)
         prob, _ = es.build_zds(64)
         with pytest.raises(ValueError):
-            es.apply_repartition(prob, es.RepartitionSpec("identity", rho=0.1))
+            es.RepartitionSpec("identity", rho=0.1).apply(prob, 0.1)
         with pytest.raises(ValueError):     # k2 needs the problem's grid
             es.repartition_shift(prob.L_diag, es.RepartitionSpec("k2", rho=0.1))
 
@@ -265,7 +266,7 @@ class TestHyperviscosity:
         prob, _ = es.build_zds(128)
         spec = es.HyperviscositySpec(8, 1e10)
         dt = 0.02
-        mod = es.apply_hyperviscosity(prob, spec, dt)
+        mod = spec.apply(prob, dt)
         k = prob.grid.wavenumbers
         assert np.allclose(mod.L_diag, prob.L_diag - dt ** 5 * 1e10 * k ** 8,
                            rtol=1e-15, atol=0)
@@ -277,7 +278,7 @@ class TestHyperviscosity:
 
     def test_zero_gamma_is_identity(self):
         prob, _ = es.build_zds(64)
-        mod = es.apply_hyperviscosity(prob, es.HyperviscositySpec(4, 0.0), 0.1)
+        mod = es.HyperviscositySpec(4, 0.0).apply(prob, 0.1)
         assert np.array_equal(mod.L_diag, prob.L_diag)
 
     def test_validation(self):
@@ -287,12 +288,69 @@ class TestHyperviscosity:
             es.HyperviscositySpec(4, -1.0)
         prob, _ = es.build_zds(64)
         with pytest.raises(ValueError):
-            es.apply_hyperviscosity(prob, es.HyperviscositySpec(4, 1.0), 0.0)
+            es.HyperviscositySpec(4, 1.0).apply(prob, 0.0)
 
     def test_describe(self):
         assert es.HyperviscositySpec(8, 1e10).describe() \
             == "hyperviscosity:m=8:gamma=10000000000"
         assert es.HyperviscositySpec(4, 1.0).q == 4
+
+
+# --- the modification grammar ------------------------------------------------------
+
+class TestParseModification:
+    def test_angles(self):
+        assert es.parse_angle("pi") == math.pi
+        assert es.parse_angle("pi/64") == math.pi / 64
+        assert es.parse_angle("0.5") == 0.5
+        assert es.parse_angle(" 0 ") == 0.0
+
+    @pytest.mark.parametrize("s", ["two", "pi*2", "pi/", "1/2", "pi/0"])
+    def test_angle_rejects(self, s):
+        with pytest.raises(ValueError):
+            es.parse_angle(s)
+
+    @pytest.mark.parametrize("s, spec", [
+        ("none", None),
+        ("abs_k3:rho=pi/64", es.RepartitionSpec("abs_k3", rho=math.pi / 64)),
+        ("identity:eps=8", es.RepartitionSpec("identity", epsilon=8.0)),
+        ("k2:eps=0.5", es.RepartitionSpec("k2", epsilon=0.5)),
+        # a bare value is an epsilon for identity, an angle otherwise
+        ("identity:16", es.RepartitionSpec("identity", epsilon=16.0)),
+        ("k2:pi/3", es.RepartitionSpec("k2", rho=math.pi / 3)),
+        ("hyperviscosity:m=8:gamma=1e10", es.HyperviscositySpec(8, 1e10)),
+        ("hyperviscosity:4:1e6", es.HyperviscositySpec(4, 1e6)),
+    ])
+    def test_accepts(self, s, spec):
+        assert es.parse_modification(s) == spec
+
+    @pytest.mark.parametrize("s", [
+        "abs_k3", "bogus:rho=0.1", "k2:two", "k2:foo=1", "k2:0.1:0.2:0.3",
+        "hyperviscosity:8", "hyperviscosity:5:1.0", "hyperviscosity:m=8.5:1",
+    ])
+    def test_rejects(self, s):
+        with pytest.raises(ValueError):
+            es.parse_modification(s)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.builds(es.RepartitionSpec, st.sampled_from(["abs_k3", "k2"]),
+                  rho=st.floats(0.0, math.pi / 2, exclude_max=True)),
+        st.builds(es.RepartitionSpec,
+                  st.sampled_from(["abs_k3", "k2", "identity"]),
+                  epsilon=st.floats(0.0, 1e300)),
+        st.builds(es.HyperviscositySpec, st.sampled_from([4, 6, 8]),
+                  st.floats(0.0, 1e300))))
+    def test_inverts_describe(self, spec):
+        assert es.parse_modification(spec.describe()) == spec
+
+    def test_repartition_ignores_dt(self):
+        prob, _ = es.build_kdv(64)
+        spec = es.RepartitionSpec("k2", rho=math.pi / 3)
+        a, b = spec.apply(prob, 0.1), spec.apply(prob, 7.0)
+        u = rng_spectrum(64, 3, max_index=21)
+        assert np.array_equal(a.L_diag, b.L_diag)
+        assert np.array_equal(a.nonlinear(0.0, u), b.nonlinear(0.0, u))
 
 
 # --- conservation and structure preservation under integration -------------------

@@ -105,7 +105,7 @@ def test_epbm_transfer_pure_linear_radius_one():
 
 def test_epbm_transfer_consistent_with_stepper():
     # the matrix must act on an arbitrary block exactly like the stepper
-    from expstab.integrators import StepperState, step_epbm5, PhiCache
+    from expstab.integrators import step_epbm5, PhiCache
     from expstab.integrators import DiagonalProblem
     k1, k2 = 3.1, 0.9
     M = epbm_transfer_matrix(EPBM5, DahlquistPoint(k1, k2))
@@ -114,9 +114,8 @@ def test_epbm_transfer_consistent_with_stepper():
     z1 = np.array([1j * k1])
     z2 = np.array([1j * k2])
     prob = DiagonalProblem(L_diag=z1, nonlinear=lambda t, y: z2 * y)
-    out = step_epbm5(prob, StepperState(t=0.0, y=b0[:, None]), 1.0,
-                     PhiCache(z1), EPBM5.tableau)
-    assert np.max(np.abs(M @ b0 - out.y[:, 0])) < 1e-12 * np.max(np.abs(b0))
+    out = step_epbm5(prob, 0.0, b0[:, None], 1.0, PhiCache(z1), EPBM5.tableau)
+    assert np.max(np.abs(M @ b0 - out[:, 0])) < 1e-12 * np.max(np.abs(b0))
 
 
 class TestPowerBoundedClassification:
