@@ -7,7 +7,8 @@ and hyperviscosity stabilization, and Fourier pseudo-spectral benchmarks.
 from .phicore import PhiCache, PhiTable, phi_scalar, phi_table
 from .integrators import (FAMILIES, METHODS, DiagonalProblem, MethodSpec,
                           make_method, esdc_tableau, epbm_tableau,
-                          imrk_tableau, integrate, IntegrationResult)
+                          imrk_tableau, integrate, integrate_many,
+                          IntegrationResult)
 from .spectral import (PeriodicGrid, dealiased_product, build_zds, build_kdv,
                        RepartitionSpec, HyperviscositySpec,
                        repartition_shift, parse_angle, parse_modification,
@@ -27,7 +28,7 @@ __all__ = [
     "PhiCache", "PhiTable", "phi_scalar", "phi_table",
     "FAMILIES", "METHODS", "DiagonalProblem", "MethodSpec", "make_method",
     "esdc_tableau", "epbm_tableau", "imrk_tableau", "integrate",
-    "IntegrationResult", "PeriodicGrid", "dealiased_product", "build_zds",
+    "integrate_many", "IntegrationResult", "PeriodicGrid", "dealiased_product", "build_zds",
     "build_kdv", "RepartitionSpec", "HyperviscositySpec", "repartition_shift",
     "parse_angle", "parse_modification", "spectral_radius_fraction",
     "write_spectrum", "read_spectrum",

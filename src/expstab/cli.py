@@ -21,7 +21,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .integrators import FAMILIES, METHODS, make_method, integrate
+from .integrators import (FAMILIES, METHODS, make_method, integrate,
+                          integrate_many)
 from .spectral import (REPARTITION_KINDS, build_zds, build_kdv, parse_angle,
                        parse_modification, write_spectrum, read_spectrum)
 from . import stability as stab
@@ -85,28 +86,71 @@ def _build_problem(problem: str, nx: int):
     raise ConfigError("unknown problem: %r" % (problem,))
 
 
-# --- single-run task (picklable description, rebuilt inside workers) ---------
+# --- run tasks (picklable descriptions, rebuilt inside workers) ---------------
+# A task is (problem, nx, family, n_steps, t_end, modification, sample_times);
+# tasks that differ only in their modification step together as one batch.
 
 def _mod_describe(mod) -> str:
     return "none" if mod is None else mod.describe()
 
 
-def _run_single(task: tuple) -> dict:
-    (problem_name, nx, family, n_steps, t_end, mod, sample_times) = task
+def _run_group(tasks: Sequence[tuple]) -> list:
+    """Run tasks that share everything but the modification: more than one
+    as one `integrate_many` batch (each run then reports the wall time of
+    the whole batch), a lone task through `integrate`, so that a tracer
+    hooking `integrate` still sees every unbatched run."""
+    (problem_name, nx, family, n_steps, t_end, _, sample_times) = tasks[0]
     problem, u0 = _build_problem(problem_name, nx)
+    method = make_method(family)
     start = time.perf_counter()
-    res = integrate(problem, make_method(family), u0, (0.0, t_end), n_steps,
-                    modification=mod, sample_times=sample_times)
+    if len(tasks) == 1:
+        results = [integrate(problem, method, u0, (0.0, t_end), n_steps,
+                             modification=tasks[0][5],
+                             sample_times=sample_times)]
+    else:
+        results = integrate_many(problem, method, u0, (0.0, t_end), n_steps,
+                                 [task[5] for task in tasks], sample_times)
     wall = time.perf_counter() - start
-    return {"ok": res.ok, "blowup_step": res.blowup_step, "t": res.t,
-            "y": res.y, "samples": res.samples, "h": res.h, "wall": wall}
+    return [{"ok": res.ok, "blowup_step": res.blowup_step, "t": res.t,
+             "y": res.y, "samples": res.samples, "h": res.h, "wall": wall}
+            for res in results]
+
+
+def _run_single(task: tuple) -> dict:
+    return _run_group([task])[0]
+
+
+def _partition(tasks: Sequence[tuple], workers: int) -> list:
+    """Task indices grouped by all but the modification.  While there are
+    fewer groups than `workers`, the largest is halved, so that every
+    worker of a pool gets a batch when the runs allow it."""
+    groups: dict = {}
+    for i, task in enumerate(tasks):
+        key = task[:5] + (None if task[6] is None else tuple(task[6]),)
+        groups.setdefault(key, []).append(i)
+    parts = list(groups.values())
+    while len(parts) < workers and max(map(len, parts), default=0) > 1:
+        big = max(parts, key=len)
+        parts.remove(big)
+        half = (len(big) + 1) // 2
+        parts += [big[:half], big[half:]]
+    return parts
 
 
 def _run_many(tasks: Sequence[tuple], workers: int) -> list:
-    if workers <= 1 or len(tasks) <= 1:
-        return [_run_single(t) for t in tasks]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_single, tasks))
+    """Results in task order; the process pool spreads batches, not runs."""
+    parts = _partition(tasks, workers)
+    batches = [[tasks[i] for i in idx] for idx in parts]
+    if workers <= 1 or len(batches) <= 1:
+        done = [_run_group(b) for b in batches]
+    else:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(_run_group, batches))
+    results = [None] * len(tasks)
+    for idx, out in zip(parts, done):
+        for i, res in zip(idx, out):
+            results[i] = res
+    return results
 
 
 # --- reference cache ----------------------------------------------------------
@@ -244,10 +288,15 @@ def run_longtime(problem: str = "kdv", nx: int = 512, t_end: float = 160.0,
                  n_samples: int = 30,
                  ref_method: str = "imrk4", ref_steps: int = 560000,
                  workers: int = 1, out_csv=None) -> dict:
-    """Error-vs-time series for (method, modification) pairs against a cached
-    reference.  The even sample times snap to the run's step grid, which the
-    reference shares, so both are compared at the same times."""
+    """Error-vs-time series for distinct (method, modification) pairs
+    against a cached reference.  The even sample times snap to the run's
+    step grid, which the reference shares, so both are compared at the same
+    times.  Runs of one method step together as one batch."""
     _check_methods([m for m, _ in runs] + [ref_method])
+    keys = [(m, _mod_describe(mod)) for m, mod in runs]
+    if len(set(keys)) < len(keys):
+        raise ConfigError("duplicate run: %s:%s" % next(
+            k for i, k in enumerate(keys) if k in keys[:i]))
     if ref_steps < 10 * n_steps or ref_steps % n_steps:
         raise ConfigError("reference steps must be a multiple (>= 10) of the "
                           "run step count")
@@ -260,8 +309,7 @@ def run_longtime(problem: str = "kdv", nx: int = 512, t_end: float = 160.0,
     results = _run_many(tasks, workers)
 
     series = {}
-    for (m, mod), res in zip(runs, results):
-        key = (m, _mod_describe(mod))
+    for key, res in zip(keys, results):
         rows = []
         for (sample, refsample) in zip(res["samples"], ref):
             if sample is None:

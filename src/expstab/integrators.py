@@ -1,7 +1,9 @@
 """Time steppers for semilinear diagonal problems y' = L y + N(t, y).
 
 Every stepper maps (t, y) to the y one step later, elementwise on a diagonal
-L (spectral operators or flattened stability grids) for both uses:
+L (spectral operators or flattened stability grids) for both uses.  Leading
+axes broadcast: a stack of runs that share h steps as one (R, n) state with
+an (R, n) L (`integrate_many`).
 
   erk4      4-stage exponential Runge-Kutta (Krogstad), order 4
   esdc6     exponential spectral deferred correction, 4 Lobatto nodes,
@@ -28,8 +30,8 @@ __all__ = [
     "ESDCTableau", "EPBMTableau", "ButcherPair",
     "esdc_tableau", "epbm_tableau", "imrk_tableau",
     "step_erk4", "step_esdc6", "step_epbm5", "step_imrk4", "step_rk4",
-    "step_exp_euler", "epbm_initialize", "integrate", "IntegrationResult",
-    "FAMILIES",
+    "step_exp_euler", "epbm_initialize", "with_diagonals", "integrate",
+    "integrate_many", "IntegrationResult", "FAMILIES",
 ]
 
 _STARTUP_SUBSTEPS = 200    # Krogstad substeps per EPBM5 startup node gap
@@ -42,6 +44,22 @@ class DiagonalProblem:
     nonlinear: Callable[[float, np.ndarray], np.ndarray]
     grid: object = None       # spectral.PeriodicGrid
     name: str = ""
+
+
+def with_diagonals(problem: DiagonalProblem, L_diag: np.ndarray,
+                   dN: Optional[np.ndarray] = None) -> DiagonalProblem:
+    """`problem` stepped with the linear diagonal L_diag and, unless dN is
+    None, the nonlinearity N(t, y) - dN*y: the problem a modification with
+    diagonals (dL, dN) steps, for one run or a stack of them."""
+    if dN is None:
+        return DiagonalProblem(L_diag, problem.nonlinear, problem.grid,
+                               problem.name)
+    base = problem.nonlinear
+
+    def nonlinear(t, y):
+        return base(t, y) - dN * y
+
+    return DiagonalProblem(L_diag, nonlinear, problem.grid, problem.name)
 
 
 # --- tableaux ----------------------------------------------------------------
@@ -177,12 +195,13 @@ def step_esdc6(problem, t0, y0, h, phis: PhiCache,
     for sweep in range(tableau.sweeps):
         last = sweep == tableau.sweeps - 1
         Nold = np.asarray(Nval)
+        Nflat = Nold.reshape(4, -1)
         Ynew = [y0, None, None, None]
         Nval = [Nold[0], None, None, None]
         for j in range(3):
             hj = h * delta[j]
             V = T[j].values
-            b = W[j] @ Nold
+            b = (W[j] @ Nflat).reshape(Nold.shape)
             quad = hj * (V[1] * b[0] + V[2] * b[1] + V[3] * b[2] + V[4] * b[3])
             Ynew[j + 1] = V[0] * Ynew[j] + hj * V[1] * (Nval[j] - Nold[j]) + quad
             if j < 2 or not last:   # node-3 value of the final sweep is unused
@@ -197,7 +216,7 @@ def _epbm_pass(problem, block, t_base, r, alpha, phis, tab) -> np.ndarray:
     z = tab.z
     N = problem.nonlinear
     nvals = np.asarray([N(t_base + r * z[j], block[j]) for j in range(1, 5)])
-    v = tab.vmap @ nvals
+    v = (tab.vmap @ nvals.reshape(4, -1)).reshape(nvals.shape)
     y1 = block[0]
     out = np.empty_like(block)
     for j in range(5):
@@ -325,6 +344,20 @@ def epbm_initialize(problem, y0: np.ndarray, t0: float, r: float,
     return block
 
 
+def _check_rowwise(nonlinear, t0: float, y0: np.ndarray) -> None:
+    """A batch calls N once on all its rows, so N must act on each row alone:
+    N of the rows (y0, y0/2) must match N of each, or ValueError."""
+    probe = np.stack([y0, 0.5 * y0])
+    got = nonlinear(t0, probe)
+    want = np.stack([nonlinear(t0, y0), nonlinear(t0, probe[1])])
+    if np.shape(got) != want.shape or not np.allclose(
+            got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want),
+                                                       initial=0.0),
+            equal_nan=True):
+        raise ValueError("problem.nonlinear does not act row by row along the "
+                         "last axis, so its runs cannot step as one batch")
+
+
 @dataclass
 class IntegrationResult:
     t: float
@@ -339,16 +372,34 @@ class IntegrationResult:
 def integrate(problem, method: MethodSpec, y0: np.ndarray,
               t_span: tuple[float, float], n_steps: int, modification=None,
               sample_times: Optional[Sequence[float]] = None) -> IntegrationResult:
-    """Fixed-step integration with blow-up detection and nearest-step sampling.
+    """Fixed-step integration of one run: `integrate_many` with the single
+    modification `modification` (None: the problem as given)."""
+    return integrate_many(problem, method, y0, t_span, n_steps,
+                          [modification], sample_times)[0]
 
-    `modification` (a spectral.RepartitionSpec or HyperviscositySpec) maps
-    the problem to the one stepped: `modification.apply(problem, h)`.
+
+def integrate_many(problem, method: MethodSpec, y0: np.ndarray,
+                   t_span: tuple[float, float], n_steps: int, modifications,
+                   sample_times: Optional[Sequence[float]] = None
+                   ) -> list[IntegrationResult]:
+    """Fixed-step integration with blow-up detection and nearest-step
+    sampling, one run per entry of `modifications`, all from y0 with one h.
+
+    Each modification (a spectral.RepartitionSpec or HyperviscositySpec, or
+    None) is a pair of diagonals `modification.diagonals(problem, h)`; the
+    runs step together as one (R, n) state with one row per run, and one
+    nonlinear call per stage serves every row, so `problem.nonlinear` must
+    act on each row alone (checked on a two-row probe before any step,
+    ValueError otherwise).  A single run steps its own unstacked arrays.
+    A row that turns non-finite reports its last finite (t, y) and leaves
+    the batch; the others keep stepping.
 
     The block method takes n+1 composite steps of h: node 1 of the block after
     step m sits at t0 + (m-1) h, so the endpoint is exact after n+1.  Its
-    startup runs on the unmodified problem: a repartitioned problem is the
-    same equation (so its startup values are identical), and integrating the
-    damped variant backward to the t0 - h node would overflow.
+    startup runs once, on the unmodified problem, and every row starts from
+    that block: a repartitioned problem is the same equation (so its startup
+    values are identical), and integrating the damped variant backward to
+    the t0 - h node would overflow.
     """
     make_method(method.family)      # an unknown family raises ValueError
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -356,22 +407,39 @@ def integrate(problem, method: MethodSpec, y0: np.ndarray,
     if not (t1 > t0) or n_steps < 1:
         raise ValueError("need t1 > t0 and n_steps >= 1")
     y0 = np.asarray(y0, dtype=np.complex128)
-    if y0.shape != np.shape(problem.L_diag):
+    L = problem.L_diag
+    if y0.shape != np.shape(L):
         raise ValueError("y0 has shape %s, L_diag has shape %s"
-                         % (y0.shape, np.shape(problem.L_diag)))
-    if modification is not None and not hasattr(modification, "apply"):
-        raise ValueError("modification %r has no apply()" % (modification,))
+                         % (y0.shape, np.shape(L)))
+    mods = list(modifications)
+    if not mods:
+        raise ValueError("need at least one modification (None: unmodified)")
+    for mod in mods:
+        if mod is not None and not hasattr(mod, "diagonals"):
+            raise ValueError("modification %r has no diagonals()" % (mod,))
     h = (t1 - t0) / n_steps
-    stepped = problem if modification is None else modification.apply(problem, h)
+    pairs = [(None, None) if mod is None else mod.diagonals(problem, h)
+             for mod in mods]
+    Ls = [L if dL is None else L + dL for dL, _ in pairs]
+    dNs = [dN for _, dN in pairs]
+    if len(mods) == 1:      # one run steps its own unstacked arrays
+        Ls, dNs, batch = Ls[0], dNs[0], (lambda a: a)
+    else:
+        _check_rowwise(problem.nonlinear, t0, y0)
+        Ls = np.stack(Ls)
+        dNs = None if all(dN is None for dN in dNs) else np.stack(
+            [np.zeros(y0.shape) if dN is None else dN for dN in dNs])
+        batch = lambda a: np.stack([a] * len(mods), axis=-1 - y0.ndim)
 
     wants = list(float(s) for s in sample_times) if sample_times else []
-    samples: list = [None] * len(wants)
+    samples = [[None] * len(wants) for _ in mods]
+    results: list = [None] * len(mods)
     lag = 1 if method.block else 0
 
-    def result(t, y, blowup_step=None):
-        return IntegrationResult(t=t, y=y, ok=blowup_step is None,
-                                 blowup_step=blowup_step, n_steps=n_steps,
-                                 h=h, samples=samples)
+    def finish(run, t, y, blowup_step=None):
+        results[run] = IntegrationResult(
+            t=t, y=y, ok=blowup_step is None, blowup_step=blowup_step,
+            n_steps=n_steps, h=h, samples=samples[run])
 
     # map each requested sample time to the step whose output is nearest
     sample_at = {}
@@ -379,22 +447,49 @@ def integrate(problem, method: MethodSpec, y0: np.ndarray,
         m = min(max(int(round((s - t0) / h)), 0), n_steps) + lag
         sample_at.setdefault(m, []).append(i)
     for i in sample_at.get(0, ()):
-        samples[i] = (t0, y0.copy())
+        for run_samples in samples:
+            run_samples[i] = (t0, y0.copy())
 
-    t, y = t0, y0     # the last finite (time, solution) pair
-    ts, state = t0, y0    # the stepper's time and state
+    live = list(range(len(mods)))     # the run of each batch row
+
+    def rows(a):
+        return a.reshape((len(live),) + y0.shape)
+
+    t, y = t0, batch(y0)      # the last finite (time, solution) pair
+    ts, state = t0, y         # the stepper's time and state
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if method.block:
-            state = epbm_initialize(problem, y0, t0, h, method.tableau)
+            state = batch(epbm_initialize(problem, y0, t0, h, method.tableau))
             if not np.isfinite(state).all():
-                return result(t, y, blowup_step=0)
-        phis = PhiCache(stepped.L_diag)
+                for run in live:
+                    finish(run, t0, y0, blowup_step=0)
+                return results
+        stepped = with_diagonals(problem, Ls, dNs)
+        phis = PhiCache(Ls)
         for m in range(1, n_steps + lag + 1):
             state = method.step(stepped, ts, state, h, phis, method.tableau)
             ts = ts + h
             if not np.isfinite(state).all():
-                return result(t, y, blowup_step=m)
+                finite = np.isfinite(state)
+                if method.block:
+                    finite = finite.all(axis=0)
+                ok = finite.reshape(len(live), -1).all(axis=1)
+                for j in np.flatnonzero(~ok):
+                    finish(live[j], t, rows(y)[j], blowup_step=m)
+                keep = np.flatnonzero(ok)
+                if keep.size == 0:
+                    return results
+                live = [live[j] for j in keep]
+                state = np.take(state, keep, axis=1 if method.block else 0)
+                Ls = Ls[keep]
+                dNs = None if dNs is None else dNs[keep]
+                stepped = with_diagonals(problem, Ls, dNs)
+                phis = PhiCache(Ls)
             t, y = (t0 + (m - 1) * h, state[0]) if method.block else (ts, state)
             for i in sample_at.get(m, ()):
-                samples[i] = (t, y.copy())
-    return result(t1 if method.block else t, y)
+                snap = rows(y).copy()
+                for j, run in enumerate(live):
+                    samples[run][i] = (t, snap[j])
+    for j, run in enumerate(live):
+        finish(run, t1 if method.block else t, rows(y)[j])
+    return results

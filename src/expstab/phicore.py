@@ -4,7 +4,8 @@ phi_0(z) = e^z,  phi_{k+1}(z) = (phi_k(z) - 1/k!) / z,
 phi_k(z) = sum_{j>=0} z^j / (j+k)!
 
 Everything operates elementwise on diagonal (spectral) operators, so a
-"table" is the set of arrays phi_0..phi_K evaluated at h*L_diag.
+"table" is the set of arrays phi_0..phi_K evaluated at h*L_diag; a stack of
+diagonals (one row per run of a batch) gets one table of the same shape.
 """
 from __future__ import annotations
 
@@ -74,7 +75,8 @@ def phi_scalar(k: int, z: complex) -> complex:
 
 @dataclass(frozen=True)
 class PhiTable:
-    """phi_0..phi_K evaluated at h * L_diag (values[k] is the phi_k array)."""
+    """phi_0..phi_K evaluated at h * L_diag (values[k] is the phi_k array,
+    shaped like L_diag)."""
     h: float
     K: int
     args: np.ndarray
@@ -85,9 +87,10 @@ class PhiTable:
 
 
 def phi_table(L_diag: np.ndarray, h: float, K: int = 4) -> PhiTable:
-    """Build the phi table for a diagonal operator at step size h."""
+    """Build the phi table for a diagonal operator (or a stack of them along
+    leading axes) at step size h."""
     L = np.asarray(L_diag, dtype=np.complex128)
-    if L.ndim != 1 or L.size == 0:
+    if L.ndim < 1 or L.size == 0:
         raise ValueError("empty operator diagonal")
     if not np.isfinite(L).all():
         raise ValueError("invalid argument")

@@ -65,7 +65,8 @@ class _Dealias:
     Products are evaluated on a 3/2-size grid (alias-free), and results are
     restricted to the retained band |j| <= floor((2/3)(nx/2)): modes above
     the two-thirds cutoff carry no nonlinear forcing, so the highest third of
-    the spectrum stays dynamically inert."""
+    the spectrum stays dynamically inert.  Spectra lie along the last axis;
+    leading axes (the rows of a batch) are transformed independently."""
 
     def __init__(self, nx: int):
         self.nx = nx
@@ -75,21 +76,26 @@ class _Dealias:
         self._inv = self.m / nx
         j = np.minimum(np.arange(nx), nx - np.arange(nx))
         self.band = j <= (2 * self.half) // 3
+        # last-axis slots of the nx modes on the padded grid, built once:
+        # these run on every N call, where a per-call slice costs ~3%
+        h = self.half
+        self._low = (Ellipsis, slice(0, h + 1))
+        self._high_in = (Ellipsis, slice(h + 1, None))
+        self._high_out = (Ellipsis, slice(self.m - (h - 1), None))
+        self._slots = np.r_[0:h + 1, self.m - (h - 1):self.m]
 
     def pad(self, u_hat: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.m, dtype=np.complex128)
-        h = self.half
-        out[:h + 1] = u_hat[:h + 1]
-        out[self.m - (h - 1):] = u_hat[h + 1:]
+        out = np.zeros(u_hat.shape[:-1] + (self.m,), dtype=np.complex128)
+        out[self._low] = u_hat[self._low]
+        out[self._high_out] = u_hat[self._high_in]
         return out
 
     def to_phys(self, u_hat: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(self.pad(u_hat)) * self._inv
+        return np.fft.ifft(self.pad(u_hat), axis=-1) * self._inv
 
     def from_phys(self, w: np.ndarray) -> np.ndarray:
-        wh = np.fft.fft(w) * self._fwd
-        h = self.half
-        return np.concatenate([wh[:h + 1], wh[self.m - (h - 1):]]) * self.band
+        wh = np.fft.fft(w, axis=-1) * self._fwd
+        return wh.take(self._slots, axis=-1) * self.band
 
 
 @functools.lru_cache(maxsize=None)
@@ -159,6 +165,10 @@ def build_kdv(nx: int = 512, delta: float = 0.022
 
 
 # --- stabilizing modifications ------------------------------------------------
+# A modification is one pair of diagonals: `spec.diagonals(problem, dt)` is
+# (dL, dN), and the problem stepped is y' = (L + dL) y + N(t, y) - dN*y (dN
+# None: N unchanged), which `integrators.with_diagonals` builds; runs that
+# share a step size stack these pairs row by row (`integrate_many`).
 
 REPARTITION_KINDS = ("abs_k3", "k2", "identity")
 
@@ -200,16 +210,11 @@ class RepartitionSpec:
             return "%s:eps=%.17g" % (self.kind, self.epsilon)
         return "%s:rho=%.17g" % (self.kind, self.rho)
 
-    def apply(self, problem: DiagonalProblem, dt: float) -> DiagonalProblem:
-        """The repartitioned problem: the same equation, so `dt` is unused."""
+    def diagonals(self, problem: DiagonalProblem, dt: float) -> tuple:
+        """dL = dN = the repartition shift: the same equation, so `dt` is
+        unused."""
         shift = repartition_shift(problem.L_diag, self, problem.grid)
-        base = problem.nonlinear
-
-        def nonlinear(t, u_hat):
-            return base(t, u_hat) - shift * u_hat
-
-        return DiagonalProblem(problem.L_diag + shift, nonlinear, problem.grid,
-                               problem.name)
+        return shift, shift
 
 
 def _unit_modulus_wavenumber(L: np.ndarray, grid: PeriodicGrid) -> float:
@@ -263,17 +268,17 @@ class HyperviscositySpec:
             raise ValueError("gamma must be >= 0")
 
     def describe(self) -> str:
-        return "hyperviscosity:m=%d:gamma=%.17g" % (self.m, self.gamma)
+        s = "hyperviscosity:m=%d:gamma=%.17g" % (self.m, self.gamma)
+        return s if self.q == 4 else s + ":q=%d" % self.q
 
-    def apply(self, problem: DiagonalProblem, dt: float) -> DiagonalProblem:
+    def diagonals(self, problem: DiagonalProblem, dt: float) -> tuple:
+        """dL = -damp; N is unchanged."""
         if not dt > 0:
             raise ValueError("dt must be positive")
         if problem.grid is None:
             raise ValueError("hyperviscosity needs the problem grid")
         k = problem.grid.wavenumbers
-        damp = (dt ** (self.q + 1)) * self.gamma * k ** self.m
-        return DiagonalProblem(problem.L_diag - damp, problem.nonlinear,
-                               problem.grid, problem.name)
+        return -((dt ** (self.q + 1)) * self.gamma * k ** self.m), None
 
 
 def parse_angle(s: str) -> float:
@@ -290,15 +295,15 @@ def parse_angle(s: str) -> float:
 
 
 # field names of each modification kind, in positional order
-_FIELDS = {"hyperviscosity": ("m", "gamma"), "identity": ("eps", "rho")}
-_CASTS = {"m": int, "gamma": float, "eps": float, "rho": parse_angle}
+_FIELDS = {"hyperviscosity": ("m", "gamma", "q"), "identity": ("eps", "rho")}
+_CASTS = {"m": int, "gamma": float, "q": int, "eps": float, "rho": parse_angle}
 
 
 def parse_modification(s: str):
     """Inverse of `describe()`: 'none' is None, otherwise 'kind:field:..'
-    with keyed fields ('rho=pi/64', 'eps=8', 'm=8', 'gamma=1e10') or bare
-    ones named by position: 'hyperviscosity:m:gamma', 'identity:eps' and
-    'abs_k3:rho' / 'k2:rho'."""
+    with keyed fields ('rho=pi/64', 'eps=8', 'm=8', 'gamma=1e10', 'q=3') or
+    bare ones named by position: 'hyperviscosity:m:gamma[:q]',
+    'identity:eps' and 'abs_k3:rho' / 'k2:rho'."""
     s = s.strip()
     if s == "none":
         return None
@@ -316,7 +321,7 @@ def parse_modification(s: str):
     if kind != "hyperviscosity":
         return RepartitionSpec(kind, rho=vals.get("rho"),
                                epsilon=vals.get("eps"))
-    if len(vals) < 2:
+    if "m" not in vals or "gamma" not in vals:
         raise ValueError("hyperviscosity needs m and gamma (m:gamma)")
     return HyperviscositySpec(**vals)
 

@@ -70,29 +70,34 @@ def zds_reference():
     return ensure_reference("zds", 128, "rk4", 200000, 40.0, [40.0])[0][1]
 
 
+ERK4_LADDERS = {
+    "erk4": None,
+    "abs_k3": es.RepartitionSpec("abs_k3", rho=math.pi / 128),
+    "identity": es.RepartitionSpec("identity", epsilon=8.0),
+    "m8_1e10": es.HyperviscositySpec(8, 1e10),
+    **{"m4_%g" % g: es.HyperviscositySpec(4, g) for g in (1e6, 1e8, 1e10)},
+}
+
+
 @pytest.fixture(scope="module")
 def zds_ladders(zds_reference):
-    """Relative-error ladders on the ZDS problem: rows are (n, ok, err)."""
+    """Relative-error ladders on the ZDS problem: rows are (n, ok, err).
+    The seven ERK4 ladders step together, one batch per step count."""
     prob, u0 = es.build_zds(128)
 
-    def ladder(family, modification=None):
-        rows = []
-        meth = es.make_method(family)
+    def ladders(family, modifications):
+        out = {lab: [] for lab in modifications}
         for n in STEPS:
-            r = es.integrate(prob, meth, u0, (0.0, 40.0), n,
-                             modification=modification)
-            err = relative_error(r.y, zds_reference) if r.ok else float("nan")
-            rows.append((n, r.ok, err))
-        return rows
+            runs = es.integrate_many(prob, es.make_method(family), u0,
+                                     (0.0, 40.0), n, modifications.values())
+            for lab, r in zip(modifications, runs):
+                err = relative_error(r.y, zds_reference) if r.ok else float("nan")
+                out[lab].append((n, r.ok, err))
+        return out
 
-    out = {f: ladder(f) for f in ("erk4", "esdc6", "epbm5", "imrk4")}
-    out["abs_k3"] = ladder("erk4", es.RepartitionSpec("abs_k3",
-                                                      rho=math.pi / 128))
-    out["identity"] = ladder("erk4", es.RepartitionSpec("identity",
-                                                        epsilon=8.0))
-    out["m8_1e10"] = ladder("erk4", es.HyperviscositySpec(8, 1e10))
-    for g in (1e6, 1e8, 1e10):
-        out["m4_%g" % g] = ladder("erk4", es.HyperviscositySpec(4, g))
+    out = ladders("erk4", ERK4_LADDERS)
+    for f in ("esdc6", "epbm5", "imrk4"):
+        out.update(ladders(f, {f: None}))
     return out
 
 

@@ -267,6 +267,55 @@ class TestRunLongtime:
         rows = series[("rk4", "none")]
         assert rows[-1][2] == "blowup"
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_groups_match_single_runs(self, workers):
+        # runs that share a method step as one batch, in any task order;
+        # three workers split the erk4 group so the pool gets three batches
+        tasks = [("kdv", 64, "erk4", 50, 0.5, None, [0.25, 0.5]),
+                 ("kdv", 64, "esdc6", 50, 0.5, None, [0.25, 0.5]),
+                 ("kdv", 64, "erk4", 50, 0.5,
+                  RepartitionSpec("k2", rho=math.pi / 3), [0.25, 0.5]),
+                 ("kdv", 64, "erk4", 50, 0.5, HyperviscositySpec(8, 1e10),
+                  [0.25, 0.5])]
+        for got, task in zip(cli._run_many(tasks, workers), tasks):
+            want = cli._run_single(task)
+            assert (got["ok"], got["t"], got["h"]) == (want["ok"], want["t"],
+                                                      want["h"])
+            assert np.allclose(got["y"], want["y"], rtol=1e-14, atol=0)
+            for (tg, yg), (tw, yw) in zip(got["samples"], want["samples"]):
+                assert tg == tw and np.allclose(yg, yw, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("workers, sizes", [
+        (1, [4, 4, 3]), (2, [4, 4, 3]), (4, [4, 3, 2, 2]),
+        (8, [2, 2, 2, 1, 1, 1, 1, 1]), (20, [1] * 11)])
+    def test_partition_gives_every_worker_a_batch(self, workers, sizes):
+        # the paper's 11 long-time runs: erk4, esdc6 and epbm5 groups
+        runs = ["erk4"] * 4 + ["esdc6"] * 3 + ["epbm5"] * 4
+        tasks = [("kdv", 64, fam, 50, 0.5, RepartitionSpec("identity",
+                                                             epsilon=i), None)
+                 for i, fam in enumerate(runs)]
+        parts = cli._partition(tasks, workers)
+        assert sorted(i for p in parts for i in p) == list(range(11))
+        assert all(len({runs[i] for i in p}) == 1 for p in parts)
+        assert sorted(map(len, parts), reverse=True) == sizes
+        assert cli._partition([], workers) == []
+
+    def test_rejects_duplicate_runs(self, tmp_path, monkeypatch):
+        # the series is keyed by (method, describe()): a second identical
+        # run would overwrite the first
+        monkeypatch.setenv("EXPSTAB_CACHE_DIR", str(tmp_path / "cache"))
+        with pytest.raises(ConfigError, match="duplicate run"):
+            run_longtime(problem="kdv", nx=64, t_end=0.5, n_steps=200,
+                         runs=[("erk4", RepartitionSpec("k2", rho=0.5)),
+                               ("erk4", RepartitionSpec("k2", rho=0.5))],
+                         ref_steps=2000)
+        rc = main(["longtime", "--problem", "kdv", "--nx", "64",
+                   "--t-end", "0.5", "--steps", "200", "--ref-steps", "2000",
+                   "--runs", "erk4;epbm5;erk4:none",
+                   "--out", str(tmp_path / "lt.csv")])
+        assert rc == 2
+        assert not os.listdir(tmp_path)     # failed before any reference
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             run_longtime(runs=[("nope", None)])

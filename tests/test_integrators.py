@@ -314,7 +314,7 @@ def test_integrate_validation():
 
 @pytest.mark.parametrize("case, match", [
     ("short_y0", r"\(31,\).*\(32,\)"),
-    ("string_modification", "apply"),
+    ("string_modification", "diagonals"),
     ("hyperviscosity_without_grid", "grid"),
 ])
 def test_integrate_rejects_bad_input(case, match):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from expstab.phicore import PhiCache, phi_scalar, phi_table
 
@@ -88,6 +89,28 @@ def test_phi_table_matches_scalar():
                 1.0, abs(col[j]))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 12), st.integers(0, 2 ** 32 - 1),
+       st.floats(1e-3, 2.0))
+@example(rows=4, n=4, seed=7874, h=1.0)     # z = -1.16-6.15i: 1.1e-14 apart
+def test_stacked_table_matches_row_tables(rows, n, seed, h):
+    # an (R, n) operator gets one table whose rows are the rows' own tables,
+    # to rounding: NumPy's vector loops may round a lone element differently,
+    # and the series tiers amplify that as their Horner error does, by the
+    # sum of the term moduli, phi_k(|z|) (up to ~e^8 where Re z < 0 cancels).
+    # Moduli up to ~40 cover all three evaluation tiers.
+    rng = np.random.default_rng(seed)
+    L = (rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))) \
+        * 10.0 ** rng.uniform(-3, 1.3, (rows, n))
+    table = phi_table(L, h)
+    assert table.values.shape == (5, rows, n)
+    term_sum = phi_table(np.abs(h * L), 1.0).values.real   # phi_k(|z|)
+    for r in range(rows):
+        want = phi_table(L[r], h).values
+        assert np.all(np.abs(table.values[:, r] - want)
+                      <= 8 * np.finfo(float).eps * term_sum[:, r])
+
+
 def test_phi_cache_reuse():
     L = np.array([1j, 2j])
     cache = PhiCache(L)
@@ -121,3 +144,9 @@ def test_phi_table_validation():
         phi_table(np.array([1j]), 0.1, K=40)
     with pytest.raises(ValueError):
         phi_table(np.array([np.nan + 0j]), 0.1)
+    with pytest.raises(ValueError):     # a stack with no entries
+        phi_table(np.zeros((3, 0)), 0.1)
+    with pytest.raises(ValueError):
+        phi_table(np.array([[1j], [np.inf]]), 0.1)
+    with pytest.raises(ValueError):     # a scalar is not a diagonal
+        phi_table(np.array(1j), 0.1)

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import expstab as es
+from expstab.integrators import with_diagonals
 from expstab.spectral import _Dealias
+
+
+def modified(spec, prob, dt):
+    """The problem a modification steps: L + dL and N - dN*y."""
+    dL, dN = spec.diagonals(prob, dt)
+    return with_diagonals(prob, prob.L_diag + dL, dN)
 
 
 def rng_spectrum(nx, seed, max_index=None):
@@ -89,6 +96,24 @@ class TestDealiasedProduct:
         w = es.dealiased_product(g, rng_spectrum(nx, 5), rng_spectrum(nx, 6))
         j = np.minimum(np.arange(nx), nx - np.arange(nx))
         assert np.all(w[j > 5] == 0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([8, 16, 32]), st.integers(1, 4),
+           st.integers(0, 2 ** 32 - 1))
+    def test_stacked_rows_match_row_products(self, nx, rows, seed):
+        # a stack of spectra along leading axes is transformed row by row:
+        # each row is its own product, exact on the retained band
+        g = es.PeriodicGrid(nx=nx, a=0.0, b=2.0 * math.pi)
+        u = np.stack([rng_spectrum(nx, seed + r) for r in range(rows)])
+        v = np.stack([rng_spectrum(nx, seed + rows + r) for r in range(rows)])
+        got = es.dealiased_product(g, u, v)
+        assert got.shape == (rows, nx)
+        for r in range(rows):
+            own = es.dealiased_product(g, u[r], v[r])
+            assert np.max(np.abs(got[r] - own)) <= 1e-14 * np.max(np.abs(own))
+            want = convolution_oracle(nx, u[r], v[r])
+            assert np.max(np.abs(got[r] - want)) < 1e-12 * max(
+                1.0, np.max(np.abs(want)))
 
     def test_roundtrip_is_band_projection(self):
         nx = 32
@@ -202,7 +227,7 @@ class TestRepartition:
         # L^ u + N^(u) must equal L u + N(u): repartitioning only moves a
         # diagonal between the two sides.
         prob, _ = es.build_zds(64)
-        mod = spec.apply(prob, 0.1)
+        mod = modified(spec, prob, 0.1)
         u = rng_spectrum(64, 11, max_index=21)
         f0 = prob.L_diag * u + prob.nonlinear(0.0, u)
         f1 = mod.L_diag * u + mod.nonlinear(0.0, u)
@@ -212,7 +237,7 @@ class TestRepartition:
     def test_abs_k3_rotates_all_eigenvalues(self):
         rho = math.pi / 32
         prob, _ = es.build_zds(128)
-        mod = es.RepartitionSpec("abs_k3", rho=rho).apply(prob, 0.1)
+        mod = modified(es.RepartitionSpec("abs_k3", rho=rho), prob, 0.1)
         L = mod.L_diag
         k = prob.grid.wavenumbers
         ang = np.angle(L[k > 0])
@@ -223,7 +248,7 @@ class TestRepartition:
     def test_k2_rotation_pivots_at_unit_modulus(self):
         rho = math.pi / 8
         prob, _ = es.build_zds(128)
-        mod = es.RepartitionSpec("k2", rho=rho).apply(prob, 0.1)
+        mod = modified(es.RepartitionSpec("k2", rho=rho), prob, 0.1)
         # eps = tan(rho); |L| = k^3 = 1 at k = 1 (index 4), which is rotated
         # by exactly rho; smaller eigenvalues over-rotate, larger under-rotate
         assert np.angle(mod.L_diag[4]) == pytest.approx(math.pi / 2 + rho,
@@ -235,7 +260,7 @@ class TestRepartition:
 
     def test_identity_shifts_uniformly(self):
         prob, _ = es.build_zds(64)
-        mod = es.RepartitionSpec("identity", epsilon=8.0).apply(prob, 0.1)
+        mod = modified(es.RepartitionSpec("identity", epsilon=8.0), prob, 0.1)
         assert np.allclose(mod.L_diag, prob.L_diag - 8.0, rtol=0, atol=0)
 
     def test_validation(self):
@@ -251,7 +276,7 @@ class TestRepartition:
             es.RepartitionSpec("k2", epsilon=-1.0)
         prob, _ = es.build_zds(64)
         with pytest.raises(ValueError):
-            es.RepartitionSpec("identity", rho=0.1).apply(prob, 0.1)
+            modified(es.RepartitionSpec("identity", rho=0.1), prob, 0.1)
         with pytest.raises(ValueError):     # k2 needs the problem's grid
             es.repartition_shift(prob.L_diag, es.RepartitionSpec("k2", rho=0.1))
 
@@ -266,7 +291,7 @@ class TestHyperviscosity:
         prob, _ = es.build_zds(128)
         spec = es.HyperviscositySpec(8, 1e10)
         dt = 0.02
-        mod = spec.apply(prob, dt)
+        mod = modified(spec, prob, dt)
         k = prob.grid.wavenumbers
         assert np.allclose(mod.L_diag, prob.L_diag - dt ** 5 * 1e10 * k ** 8,
                            rtol=1e-15, atol=0)
@@ -278,7 +303,7 @@ class TestHyperviscosity:
 
     def test_zero_gamma_is_identity(self):
         prob, _ = es.build_zds(64)
-        mod = es.HyperviscositySpec(4, 0.0).apply(prob, 0.1)
+        mod = modified(es.HyperviscositySpec(4, 0.0), prob, 0.1)
         assert np.array_equal(mod.L_diag, prob.L_diag)
 
     def test_validation(self):
@@ -288,12 +313,15 @@ class TestHyperviscosity:
             es.HyperviscositySpec(4, -1.0)
         prob, _ = es.build_zds(64)
         with pytest.raises(ValueError):
-            es.HyperviscositySpec(4, 1.0).apply(prob, 0.0)
+            modified(es.HyperviscositySpec(4, 1.0), prob, 0.0)
 
     def test_describe(self):
         assert es.HyperviscositySpec(8, 1e10).describe() \
             == "hyperviscosity:m=8:gamma=10000000000"
         assert es.HyperviscositySpec(4, 1.0).q == 4
+        # q is named only when it is not the default 4
+        assert es.HyperviscositySpec(8, 1e10, q=3).describe() \
+            == "hyperviscosity:m=8:gamma=10000000000:q=3"
 
 
 # --- the modification grammar ------------------------------------------------------
@@ -320,6 +348,8 @@ class TestParseModification:
         ("k2:pi/3", es.RepartitionSpec("k2", rho=math.pi / 3)),
         ("hyperviscosity:m=8:gamma=1e10", es.HyperviscositySpec(8, 1e10)),
         ("hyperviscosity:4:1e6", es.HyperviscositySpec(4, 1e6)),
+        ("hyperviscosity:m=8:gamma=1e10:q=3", es.HyperviscositySpec(8, 1e10, 3)),
+        ("hyperviscosity:4:1e6:2", es.HyperviscositySpec(4, 1e6, q=2)),
     ])
     def test_accepts(self, s, spec):
         assert es.parse_modification(s) == spec
@@ -327,6 +357,7 @@ class TestParseModification:
     @pytest.mark.parametrize("s", [
         "abs_k3", "bogus:rho=0.1", "k2:two", "k2:foo=1", "k2:0.1:0.2:0.3",
         "hyperviscosity:8", "hyperviscosity:5:1.0", "hyperviscosity:m=8.5:1",
+        "hyperviscosity:m=8:q=3", "hyperviscosity:8:1:3:4",
     ])
     def test_rejects(self, s):
         with pytest.raises(ValueError):
@@ -340,14 +371,14 @@ class TestParseModification:
                   st.sampled_from(["abs_k3", "k2", "identity"]),
                   epsilon=st.floats(0.0, 1e300)),
         st.builds(es.HyperviscositySpec, st.sampled_from([4, 6, 8]),
-                  st.floats(0.0, 1e300))))
+                  st.floats(0.0, 1e300), st.integers(0, 8))))
     def test_inverts_describe(self, spec):
         assert es.parse_modification(spec.describe()) == spec
 
     def test_repartition_ignores_dt(self):
         prob, _ = es.build_kdv(64)
         spec = es.RepartitionSpec("k2", rho=math.pi / 3)
-        a, b = spec.apply(prob, 0.1), spec.apply(prob, 7.0)
+        a, b = modified(spec, prob, 0.1), modified(spec, prob, 7.0)
         u = rng_spectrum(64, 3, max_index=21)
         assert np.array_equal(a.L_diag, b.L_diag)
         assert np.array_equal(a.nonlinear(0.0, u), b.nonlinear(0.0, u))
