@@ -165,12 +165,30 @@ _CODE_DIGEST = hashlib.sha1(b"".join(
     for name in ("phicore.py", "integrators.py", "spectral.py"))).hexdigest()[:16]
 
 
+def _remove_stale_builds(entry: str) -> None:
+    """Remove the `<entry>.tmp.<pid>` directories of builds whose process is
+    gone (killed by a signal, so their own clean-up never ran)."""
+    parent, prefix = os.path.split(entry + ".tmp.")
+    names = os.listdir(parent) if os.path.isdir(parent) else []
+    for name in names:
+        pid = name[len(prefix):]
+        if not (name.startswith(prefix) and pid.isdecimal()):
+            continue
+        try:
+            os.kill(int(pid), 0)
+        except ProcessLookupError:
+            shutil.rmtree(os.path.join(parent, name), ignore_errors=True)
+        except (OverflowError, OSError):
+            pass        # a pid out of range, or another user's live process
+
+
 def ensure_reference(problem: str, nx: int, method: str, n_steps: int,
                      t_end: float, sample_times: Sequence[float]) -> list:
     """Return reference spectra at the given sample times, building and
     caching on first use.  The cache entry is published atomically
-    (temp dir + rename), so a killed build never leaves a truncated entry,
-    and the temp dir is removed on every exit path."""
+    (temp dir + rename), so a killed build never leaves a truncated entry;
+    the temp dir is removed on every exit path, and one left by a build
+    killed by a signal is removed by the next call for that entry."""
     sample_times = [float(s) for s in sample_times]
     payload = "problem=%s nx=%d method=%s n=%d t_end=%s samples=%s code=%s" % (
         problem, nx, method, n_steps, _fmt(t_end),
@@ -178,6 +196,7 @@ def ensure_reference(problem: str, nx: int, method: str, n_steps: int,
     digest = hashlib.sha1(payload.encode()).hexdigest()[:16]
     entry = os.path.join(cache_dir(), "%s-nx%d-%s-n%d-%s"
                          % (problem, nx, method, n_steps, digest))
+    _remove_stale_builds(entry)
 
     if not os.path.isdir(entry):
         res = _run_single((problem, nx, method, n_steps, t_end, None,
@@ -483,12 +502,17 @@ def _dispatch(args, cfg) -> int:
         res_s = _get(args, cfg, "resolution", "600x200")
         try:
             n1, n2 = (int(v) for v in str(res_s).lower().split("x"))
+            if min(n1, n2) < 1:
+                raise ValueError(res_s)
         except ValueError:
             raise ConfigError("resolution must look like 600x200") from None
         out = _get(args, cfg, "out", "stability-maps")
         _check_methods(methods)
-        run_stability_maps(methods, rhos, out, (n1, n2),
-                           k2_max=_get(args, cfg, "k2_max", None, float))
+        try:
+            run_stability_maps(methods, rhos, out, (n1, n2),
+                               k2_max=_get(args, cfg, "k2_max", None, float))
+        except ValueError as e:     # a range or resolution region_grid rejects
+            raise ConfigError(str(e)) from None
         return EXIT_OK
 
     if cmd == "converge":

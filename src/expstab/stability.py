@@ -16,7 +16,9 @@ steps of the method's production stepper, `MethodSpec.step(problem, t, y, h,
 phis, tableau)`, from t=0.  One-step methods are probed by one h=1 step from
 y=1; the block method gets a 5x5 transfer matrix, one composite step of each
 basis block, whose spectral radius (plus a power-boundedness check near 1)
-decides stability.
+decides stability.  A (k1, k2) grid is one problem broadcast from a k1
+column and a k2 row: L depends on k1 alone, so its phi tables hold one entry
+per distinct k1 while the state holds one per grid point.
 """
 from __future__ import annotations
 
@@ -59,9 +61,14 @@ def RepartitionAngle(rho: float) -> RepartitionSpec:
     return RepartitionSpec("abs_k3", rho=rho)
 
 
-def _test_problem(k1, k2, angle: Optional[RepartitionSpec]) -> DiagonalProblem:
-    """The partitioned oscillator at (k1, k2) arrays, repartitioned by
-    `angle` (None is the angle 0)."""
+def _probe(method: MethodSpec, k1, k2,
+           angle: Optional[RepartitionSpec]) -> np.ndarray:
+    """One literal h=1 step of `method` on the partitioned oscillator at the
+    (k1, k2) arrays broadcast together, repartitioned by `angle` (None is
+    the angle 0): R from y=1 for a one-step method, and for the block method
+    the (..., 5, 5) transfer matrices, whose column j is the composite step
+    of the j-th basis block.  L has the shape of k1, and so do its phi
+    tables, which every step and column share."""
     if angle is None:
         angle = RepartitionAngle(0.0)
     if angle.kind != "abs_k3":
@@ -70,14 +77,18 @@ def _test_problem(k1, k2, angle: Optional[RepartitionSpec]) -> DiagonalProblem:
     L = 1j * k1
     shift = repartition_shift(L, angle)
     z2 = 1j * k2 - shift
-    return DiagonalProblem(L_diag=L + shift, nonlinear=lambda t, y: z2 * y)
-
-
-def _one_step_R(method: MethodSpec, problem: DiagonalProblem) -> np.ndarray:
-    """Execute one literal h=1 step from y=1."""
-    y = np.ones(problem.L_diag.shape, dtype=np.complex128)
-    return method.step(problem, 0.0, y, 1.0, PhiCache(problem.L_diag),
-                       method.tableau)
+    problem = DiagonalProblem(L_diag=L + shift, nonlinear=lambda t, y: z2 * y)
+    phis = PhiCache(problem.L_diag)
+    if not method.block:
+        y = np.ones(z2.shape, dtype=np.complex128)
+        return method.step(problem, 0.0, y, 1.0, phis, method.tableau)
+    M = np.empty(z2.shape + (5, 5), dtype=np.complex128)
+    for col in range(5):
+        block = np.zeros((5,) + z2.shape, dtype=np.complex128)
+        block[col] = 1.0
+        M[..., col] = np.moveaxis(method.step(problem, 0.0, block, 1.0, phis,
+                                              method.tableau), 0, -1)
+    return M
 
 
 def stability_scalar(method: MethodSpec, point: DahlquistPoint,
@@ -86,23 +97,8 @@ def stability_scalar(method: MethodSpec, point: DahlquistPoint,
     if method.block:
         raise ValueError("stability_scalar needs a one-step method; "
                          "use epbm_transfer_matrix for epbm5")
-    problem = _test_problem(np.array([point.k1]), np.array([point.k2]), angle)
-    return complex(_one_step_R(method, problem)[0])
-
-
-def _epbm_transfer_batch(method: MethodSpec,
-                         problem: DiagonalProblem) -> np.ndarray:
-    """(n, 5, 5) transfer matrices: column j is the composite step applied
-    to the j-th basis block.  The five columns share one phi cache."""
-    phis = PhiCache(problem.L_diag)
-    n = problem.L_diag.size
-    M = np.empty((n, 5, 5), dtype=np.complex128)
-    for col in range(5):
-        block = np.zeros((5, n), dtype=np.complex128)
-        block[col] = 1.0
-        M[:, :, col] = method.step(problem, 0.0, block, 1.0, phis,
-                                   method.tableau).T
-    return M
+    return complex(_probe(method, np.array([point.k1]), np.array([point.k2]),
+                          angle)[0])
 
 
 def epbm_transfer_matrix(method: MethodSpec, point: DahlquistPoint,
@@ -110,14 +106,22 @@ def epbm_transfer_matrix(method: MethodSpec, point: DahlquistPoint,
     """5x5 one-composite-step transfer matrix at a single (k1, k2)."""
     if not method.block:
         raise ValueError("transfer matrix is defined for epbm5")
-    problem = _test_problem(np.array([point.k1]), np.array([point.k2]), angle)
-    return _epbm_transfer_batch(method, problem)[0]
+    return _probe(method, np.array([point.k1]), np.array([point.k2]), angle)[0]
+
+
+_POWER_BLOCK = 64          # powers advanced per product in the power check
+_LAST_POWER = 10_001       # the power check covers M^2 .. M^_LAST_POWER
 
 
 def power_bounded_classification(M: np.ndarray, tol: float = 1e-8) -> str:
-    """Classify by spectral radius; near radius 1 additionally power the
-    matrix 10^4 times as a defective-eigenvalue surrogate (max-norm must
-    stay within 10x its initial value)."""
+    """Classify a square matrix by spectral radius; near radius 1 also check
+    every power M^2..M^10001 as a defective-eigenvalue surrogate (max-norm
+    must stay within 10x that of M).  The powers are advanced 64 at a time:
+    the stack M^1..M^64 times M^64 per block."""
+    M = np.asarray(M)
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
+        raise ValueError("need a non-empty square matrix, got shape %s"
+                         % (M.shape,))
     try:
         radius = float(np.max(np.abs(np.linalg.eigvals(M))))
     except np.linalg.LinAlgError:
@@ -126,12 +130,17 @@ def power_bounded_classification(M: np.ndarray, tol: float = 1e-8) -> str:
     if radius > MARGINAL_LIMIT:
         return "unstable"
     if abs(radius - 1.0) <= tol:
-        norm0 = float(np.max(np.abs(M)))
-        P = M.copy()
+        limit = 10.0 * float(np.max(np.abs(M)))
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(10_000):
-                P = P @ M
-                if not np.max(np.abs(P)) <= 10.0 * norm0:
+            P = [M.astype(np.result_type(M, 1.0))]
+            for _ in range(_POWER_BLOCK - 1):
+                P.append(P[-1] @ M)
+            P = np.stack(P)       # M^1 .. M^64; M^1 is within the limit
+            step = P[-1]
+            for first in range(1, _LAST_POWER + 1, _POWER_BLOCK):
+                if first > 1:
+                    P = P @ step
+                if not np.max(np.abs(P[:_LAST_POWER + 1 - first])) <= limit:
                     return "unstable"
     return "stable" if radius <= 1.0 + STABLE_TOL else "marginal"
 
@@ -158,24 +167,25 @@ class StabilityGrid:
 def region_grid(method: MethodSpec, k1_range: tuple[float, float],
                 k2_range: tuple[float, float], resolution: tuple[int, int],
                 angle: Optional[RepartitionSpec] = None) -> StabilityGrid:
-    """Sample |R^| on a (k1, k2) product grid (vectorized: the whole grid is
-    flattened into one diagonal problem and stepped once)."""
+    """Sample |R^| on a (k1, k2) product grid, stepped once as one problem
+    broadcast from the k1 column and the k2 row (phi tables per k1 only)."""
+    if len(resolution) != 2 or not all(isinstance(n, (int, np.integer))
+                                       for n in resolution):
+        raise ValueError("resolution must be two integers, got %r"
+                         % (resolution,))
     n1, n2 = int(resolution[0]), int(resolution[1])
     if n1 < 1 or n2 < 1:
         raise ValueError("resolution must be positive")
+    if not np.isfinite(np.concatenate([k1_range, k2_range])).all():
+        raise ValueError("k1 and k2 ranges must be finite")
     if k1_range[0] < 0:
         raise ValueError("k1 range must lie in [0, inf)")
     k1 = np.linspace(k1_range[0], k1_range[1], n1)
     k2 = np.linspace(k2_range[0], k2_range[1], n2)
-    K1, K2 = (a.ravel() for a in np.meshgrid(k1, k2, indexing="ij"))
-    problem = _test_problem(K1, K2, angle)
     with np.errstate(over="ignore", invalid="ignore"):
-        if method.block:
-            M = _epbm_transfer_batch(method, problem)
-            absR = np.max(np.abs(np.linalg.eigvals(M)), axis=1)
-        else:
-            absR = np.abs(_one_step_R(method, problem))
-    absR = absR.reshape(n1, n2)
+        R = _probe(method, k1[:, None], k2[None, :], angle)
+        absR = np.abs(np.linalg.eigvals(R)).max(axis=-1) if method.block \
+            else np.abs(R)
     rho = 0.0 if angle is None else (
         angle.rho if angle.rho is not None else math.atan(angle.epsilon))
     return StabilityGrid(method=method.family, rho=rho,
@@ -184,15 +194,21 @@ def region_grid(method: MethodSpec, k1_range: tuple[float, float],
 
 
 def grid_to_csv(grid: StabilityGrid, path) -> None:
-    """k1-major CSV dump: header k1,k2,absR,class; 17 significant digits."""
-    lines = ["k1,k2,absR,class"]
-    for i, a in enumerate(grid.k1_samples):
-        row_abs = grid.absR[i]
-        row_cls = grid.classification[i]
-        for j, b in enumerate(grid.k2_samples):
-            lines.append("%.17g,%.17g,%.17g,%s" % (a, b, row_abs[j], row_cls[j]))
+    """k1-major CSV dump: header k1,k2,absR,class; 17 significant digits.
+    Each k1 row is written by one format call."""
+    k2s = ["%.17g" % b for b in grid.k2_samples.tolist()]
+    row_format = "%s,%s,%.17g,%s\n" * len(k2s)
+    cells = [None] * (4 * len(k2s))
+    cells[1::4] = k2s
     with open(path, "w", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write("k1,k2,absR,class\n")
+        for a, row_abs, row_cls in zip(grid.k1_samples.tolist(),
+                                       grid.absR.tolist(),
+                                       grid.classification.tolist()):
+            cells[0::4] = ["%.17g" % a] * len(k2s)
+            cells[2::4] = row_abs
+            cells[3::4] = row_cls
+            f.write(row_format % tuple(cells))
 
 
 def column_split_exists(grid: StabilityGrid) -> bool:

@@ -3,6 +3,8 @@ drivers, CSV outputs, and exit codes."""
 import math
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -165,6 +167,26 @@ class TestEnsureReference:
         assert len(again) == 1 and np.isfinite(again[0][1]).all()
         assert not [e for e in os.listdir(cache) if ".tmp." in e]
         assert len(os.listdir(cache)) == 2
+
+    def test_removes_temp_dirs_of_dead_builds(self, tmp_path, monkeypatch):
+        # a build killed by a signal leaves <entry>.tmp.<pid>; the next call
+        # for the entry removes it once that pid is gone, and keeps the temp
+        # dir of a live process
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("EXPSTAB_CACHE_DIR", str(cache))
+        ensure_reference("zds", 32, "rk4", 500, 1.0, [1.0])
+        entry = os.path.join(cache, os.listdir(cache)[0])
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()
+        dead = "%s.tmp.%d" % (entry, child.pid)
+        live = "%s.tmp.%d" % (entry, os.getpid())
+        other = entry + ".tmp.notapid"
+        for d in (dead, live, other):
+            os.makedirs(d)
+        got = ensure_reference("zds", 32, "rk4", 500, 1.0, [1.0])
+        assert len(got) == 1
+        assert not os.path.exists(dead)
+        assert os.path.isdir(live) and os.path.isdir(other)
 
 
 # --- run drivers ----------------------------------------------------------------
@@ -422,6 +444,15 @@ class TestMain:
         rc = main(["stability", "--methods", "erk4", "--rho", "0",
                    "--resolution", "600by200", "--out", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("flags", [["--k2-max", "inf"],
+                                       ["--k2-max", "nan"],
+                                       ["--resolution", "0x5"]])
+    def test_rejected_grid_exit_code(self, tmp_path, flags):
+        rc = main(["stability", "--methods", "erk4", "--rho", "0",
+                   "--out", str(tmp_path)] + flags)
+        assert rc == 2
+        assert os.listdir(tmp_path) == []
 
     def test_unknown_method_in_stability(self, tmp_path):
         rc = main(["stability", "--methods", "rk5", "--rho", "0",

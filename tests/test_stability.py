@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import expstab.stability as stab
-from expstab import RepartitionSpec, make_method, phi_scalar
+from expstab import FAMILIES, RepartitionSpec, make_method, phi_scalar
 from expstab.stability import (
     MARGINAL_LIMIT,
     STABLE_TOL,
@@ -141,18 +142,88 @@ class TestPowerBoundedClassification:
         assert power_bounded_classification(1.005 * np.eye(2, dtype=complex)) \
             == "marginal"
 
+    # the shear [[1, a], [0, 1]] has radius exactly 1 and its power M^p has
+    # max-norm p*a against the limit 10*||M||max = 10, so the outcome pins
+    # the range of powers checked to M^2..M^10001
+    @pytest.mark.parametrize("a, want", [
+        pytest.param(1.05e-3, "unstable", id="passes-10-at-9524"),
+        pytest.param(0.95e-3, "stable", id="9.5-at-10001"),
+        pytest.param(10 / 10000.5, "unstable", id="passes-10-at-10001"),
+        pytest.param(10 / 10001.5, "stable", id="passes-10-at-10002"),
+    ])
+    def test_shear_pins_last_power(self, a, want):
+        M = np.array([[1.0, a], [0.0, 1.0]])
+        assert power_bounded_classification(M) == want
+
+    @pytest.mark.parametrize("M", [
+        pytest.param(epbm_transfer_matrix(EPBM5, DahlquistPoint(k1, 0.0)),
+                     id="epbm5-k1=%g" % k1) for k1 in (0.1, 3.8, 22.3, 60.0)
+    ] + [pytest.param(np.eye(3, dtype=complex) + np.diag([a, a], 1),
+                      id="jordan-%g" % a) for a in (1e-5, 1e-4, 1e-3)])
+    def test_matches_sequential_products(self, M):
+        # the reference: one product and one norm per power M^2..M^10001
+        limit = 10.0 * np.max(np.abs(M))
+        radius = np.max(np.abs(np.linalg.eigvals(M)))
+        want = "stable" if radius <= 1.0 + STABLE_TOL else "marginal"
+        if radius > MARGINAL_LIMIT:
+            want = "unstable"
+        elif abs(radius - 1.0) <= 1e-8:
+            P = M.copy()
+            for _ in range(10_000):
+                P = P @ M
+                if not np.max(np.abs(P)) <= limit:
+                    want = "unstable"
+                    break
+        assert power_bounded_classification(M) == want
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2), (0, 0)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError):
+            power_bounded_classification(np.ones(shape, dtype=complex))
+
 
 # --- region grids ---------------------------------------------------------------
 
-def test_region_grid_matches_scalar():
-    angle = RepartitionAngle(math.pi / 32)
-    grid = region_grid(ERK4, (0.5, 2.0), (0.0, 1.0), (3, 4), angle)
-    assert grid.method == "erk4"
-    assert grid.rho == pytest.approx(math.pi / 32)
+@pytest.mark.parametrize("rho", [0.0, math.pi / 64, math.pi / 32],
+                         ids=["rho=0", "rho=pi/64", "rho=pi/32"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_region_grid_matches_scalar(family, rho):
+    # every grid point equals its one-point probe
+    method = make_method(family)
+    angle = RepartitionAngle(rho)
+    grid = region_grid(method, (0.5, 9.0), (-1.0, 2.0), (4, 3), angle)
+    assert grid.method == family
+    assert grid.rho == pytest.approx(rho)
     for i, k1 in enumerate(grid.k1_samples):
         for j, k2 in enumerate(grid.k2_samples):
-            R = stability_scalar(ERK4, DahlquistPoint(k1, k2), angle)
-            assert abs(grid.absR[i, j] - abs(R)) < 1e-13
+            point = DahlquistPoint(k1, k2)
+            if method.block:
+                M = epbm_transfer_matrix(method, point, angle)
+                want = np.max(np.abs(np.linalg.eigvals(M)))
+            else:
+                want = abs(stability_scalar(method, point, angle))
+            assert abs(grid.absR[i, j] - want) < 1e-13 * max(1.0, want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(FAMILIES), st.floats(0.0, 0.5), st.floats(0.0, 0.5),
+       st.floats(-20.0, 20.0), st.floats(-20.0, 20.0), st.integers(1, 4),
+       st.integers(1, 4), st.floats(0.0, math.pi / 3))
+def test_region_grid_equals_stacked_rows(family, a, b, c, d, n1, n2, rho):
+    # the broadcast grid equals the grids of its k1 rows stacked.  NumPy can
+    # round an element differently by its place in an array, and for
+    # 1 <= |h L| < 8 the phi series' cancellation amplifies that ulp to
+    # 1e-13..1e-12 (test_region_grid_matches_scalar covers that range at
+    # 1e-13), so the rows are compared to 1e-14 where |h L| stays below 2
+    method = make_method(family)
+    angle = RepartitionAngle(rho)
+    grid = region_grid(method, (a, b), (c, d), (n1, n2), angle)
+    rows = np.concatenate([
+        region_grid(method, (k1, k1), (c, d), (1, n2), angle).absR
+        for k1 in grid.k1_samples])
+    assert rows.shape == grid.absR.shape
+    assert np.all(np.abs(grid.absR - rows)
+                  <= 1e-14 * np.maximum(np.abs(rows), 1e-300))
 
 
 def test_region_grid_classification_thresholds():
@@ -177,6 +248,25 @@ def test_region_grid_validation():
         region_grid(ERK4, (0.0, 2.0), (0.0, 1.0), (0, 2))
 
 
+@pytest.mark.parametrize("k1_range, k2_range", [
+    ((0.0, math.inf), (0.0, 1.0)),
+    ((0.0, math.nan), (0.0, 1.0)),
+    ((0.0, 2.0), (0.0, math.inf)),
+    ((0.0, 2.0), (-math.inf, 1.0)),
+    ((0.0, 2.0), (math.nan, 1.0)),
+])
+def test_region_grid_rejects_non_finite_ranges(k1_range, k2_range):
+    with pytest.raises(ValueError, match="finite"):
+        region_grid(ERK4, k1_range, k2_range, (2, 2))
+
+
+@pytest.mark.parametrize("resolution", [(2.5, 2), (2, 2.0), (2,), (2, 2, 2),
+                                        ("2", 2)])
+def test_region_grid_rejects_non_integer_resolution(resolution):
+    with pytest.raises(ValueError, match="resolution"):
+        region_grid(ERK4, (0.0, 2.0), (0.0, 1.0), resolution)
+
+
 def test_grid_to_csv_format(tmp_path):
     grid = region_grid(ERK4, (0.5, 1.0), (0.0, 1.0), (2, 3))
     path = tmp_path / "grid.csv"
@@ -190,6 +280,28 @@ def test_grid_to_csv_format(tmp_path):
     assert [float(row[1]) for row in first] == list(grid.k2_samples)
     assert float(first[0][2]) == grid.absR[0, 0]
     assert first[0][3] == grid.classification[0, 0]
+
+
+def per_cell_csv(grid):
+    """The CSV text of one "%.17g,%.17g,%.17g,%s" format call per cell."""
+    lines = ["k1,k2,absR,class"]
+    for i, a in enumerate(grid.k1_samples):
+        for j, b in enumerate(grid.k2_samples):
+            lines.append("%.17g,%.17g,%.17g,%s" % (
+                a, b, grid.absR[i, j], grid.classification[i, j]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("family", ["erk4", "epbm5"])
+def test_grid_to_csv_equals_per_cell_format(tmp_path, family):
+    grid = region_grid(make_method(family), (0.1, 60.0), (-3.0, 4.0), (7, 5),
+                       RepartitionAngle(math.pi / 64))
+    grid.absR[0, :3] = [math.nan, math.inf, -0.0]
+    grid.absR[3, 4] = 1e-300
+    grid.classification[0, :3] = "unstable"
+    path = tmp_path / "grid.csv"
+    grid_to_csv(grid, path)
+    assert path.read_bytes() == per_cell_csv(grid).encode()
 
 
 def synthetic_grid(columns):
