@@ -1,14 +1,17 @@
 """Experiment harness: reference management, convergence studies, long-time
 error tracking, stability maps, and single solves.
 
-Config resolution: flat key=value file (--config) overridden by CLI flags.
-Exit codes: 0 ok, 2 config error, 3 reference build failure, 4 every
-requested run blew up.
+A CLI flag wins over a line of the --config key=value file, and `_get`
+casts either once; an option given neither way keeps the `run_*` default.
+The library checks every value, and `main` maps any ValueError to exit 2.
+Exit codes: 0 ok, 2 config error, 3 reference build failure or unreadable
+cache entry, 4 every requested run blew up.
 """
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import hashlib
 import math
 import os
@@ -43,8 +46,8 @@ EXIT_ALL_BLOWUP = 4
 K2_BANDS = {family: spec.k2_band for family, spec in METHODS.items()}
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(ValueError):
+    """A rejected option value; `main` exits 2 on it, as on any ValueError."""
 
 
 class ReferenceFailure(Exception):
@@ -219,22 +222,24 @@ def ensure_reference(problem: str, nx: int, method: str, n_steps: int,
                 raise
         finally:
             shutil.rmtree(tmp, ignore_errors=True)
-    with open(os.path.join(entry, "meta.txt")) as f:
-        if f.read().strip() != payload:
-            raise ReferenceFailure("cache entry %s does not match its key" % entry)
-    out = []
-    for i in range(len(sample_times)):
-        meta, u = read_spectrum(os.path.join(entry, "snap-%04d.txt" % i))
-        out.append((meta["t"], u))
-    return out
+    try:
+        with open(os.path.join(entry, "meta.txt")) as f:
+            if f.read().strip() != payload:
+                raise ValueError("meta.txt does not match the entry's key")
+        snaps = [read_spectrum(os.path.join(entry, "snap-%04d.txt" % i))
+                 for i in range(len(sample_times))]
+    except (OSError, ValueError) as e:  # a damaged entry, not a usage error
+        raise ReferenceFailure("cache entry %s is damaged (remove it to "
+                               "rebuild): %s" % (entry, e)) from None
+    return [(meta["t"], u) for meta, u in snaps]
 
 
 # --- experiment drivers ---------------------------------------------------------
 
 def _check_steps(steps) -> list:
     steps = [int(s) for s in steps]
-    if not steps or any(b <= a for a, b in zip(steps, steps[1:])):
-        raise ConfigError("step counts must be strictly increasing")
+    if not steps or any(b <= a for a, b in zip([0] + steps, steps)):
+        raise ConfigError("step counts must be positive and increasing")
     return steps
 
 
@@ -253,8 +258,7 @@ def run_convergence(problem: str = "zds", nx: int = 128, t_end: float = 40.0,
                     workers: int = 1, out_csv=None) -> list[RunRecord]:
     """Fixed-step refinement study against a cached fine reference."""
     steps = _check_steps(steps)
-    _check_methods(methods)
-    _check_methods([ref_method])
+    _check_methods([*methods, ref_method])
     if ref_steps < 10 * max(steps):
         raise ConfigError("reference steps must be >= 10x the largest "
                           "experiment step count")
@@ -316,6 +320,8 @@ def run_longtime(problem: str = "kdv", nx: int = 512, t_end: float = 160.0,
     if len(set(keys)) < len(keys):
         raise ConfigError("duplicate run: %s:%s" % next(
             k for i, k in enumerate(keys) if k in keys[:i]))
+    if n_steps < 1 or n_samples < 1:
+        raise ConfigError("step and sample counts must be >= 1")
     if ref_steps < 10 * n_steps or ref_steps % n_steps:
         raise ConfigError("reference steps must be a multiple (>= 10) of the "
                           "run step count")
@@ -352,16 +358,18 @@ def run_longtime(problem: str = "kdv", nx: int = 512, t_end: float = 160.0,
 def run_stability_maps(methods: Sequence[str], rhos: Sequence[float],
                        out_dir, resolution=(600, 200), k1_max: float = 60.0,
                        k2_max: Optional[float] = None) -> list:
-    """One classified grid CSV per (method, rho)."""
-    os.makedirs(out_dir, exist_ok=True)
-    n1 = int(resolution[0])
+    """One classified grid CSV per (method, rho).  Every input is checked
+    (ValueError) before the output directory is made."""
+    _check_methods(methods)
+    angles = [stab.RepartitionAngle(rho) for rho in rhos]
+    n1 = stab.check_resolution(resolution)[0]
     paths = []
     for m in methods:
         band = k2_max if k2_max is not None else K2_BANDS[m]
-        for rho in rhos:
+        for rho, angle in zip(rhos, angles):
             grid = stab.region_grid(make_method(m), (k1_max / n1, k1_max),
-                                    (0.0, band), resolution,
-                                    stab.RepartitionAngle(rho))
+                                    (0.0, band), resolution, angle)
+            os.makedirs(out_dir, exist_ok=True)
             path = os.path.join(out_dir, "stability-%s-rho%.10g.csv" % (m, rho))
             stab.grid_to_csv(grid, path)
             paths.append(path)
@@ -371,7 +379,6 @@ def run_stability_maps(methods: Sequence[str], rhos: Sequence[float],
 def run_solve(problem: str, nx: int, method: str, n_steps: int, t_end: float,
               modification=None, out_path=None):
     """Single integration; snapshot written with a blow-up flag if needed."""
-    _check_methods([method])
     res = _run_single((problem, nx, method, n_steps, t_end, modification,
                        [t_end]))
     if out_path:
@@ -414,8 +421,26 @@ def _get(args, cfg: dict, key: str, default=None, cast=str):
     return default if val is None else _cast(key, val, cast)
 
 
-def _csv_list(s, cast):
-    return [cast(p) for p in str(s).split(",") if p]
+def _list_of(cast):
+    """Cast of a comma list, each item by `cast`."""
+    return lambda s: [cast(p) for p in s.split(",") if p]
+
+
+def _resolution(s: str) -> tuple:
+    """'N1xN2' as a tuple of ints, which the grid checks."""
+    return tuple(int(n) for n in s.lower().split("x"))
+
+
+def _runs(s: str) -> list:
+    """'method[:modification];..' as (method, modification) pairs."""
+    items = [i.partition(":") for i in map(str.strip, s.split(";")) if i]
+    return [(name, parse_modification(spec or "none"))
+            for name, _, spec in items]
+
+
+def _given(**options) -> dict:
+    """The options that were given; the others keep the library defaults."""
+    return {key: val for key, val in options.items() if val is not None}
 
 
 def _build_modification(args, cfg):
@@ -438,8 +463,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     run = argparse.ArgumentParser(add_help=False)    # flags of every run
     run.add_argument("--problem")
-    run.add_argument("--nx", type=int)
-    run.add_argument("--t-end", dest="t_end", type=float)
+    run.add_argument("--nx")
+    run.add_argument("--t-end")
     modified = argparse.ArgumentParser(add_help=False, parents=[run])
     modified.add_argument("--repartition", help="kind:rho=<angle>|eps=<value>")
     modified.add_argument("--hyperviscosity", help="m:gamma")
@@ -448,25 +473,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.add_argument("--methods")
     p.add_argument("--rho", help="comma list of angles (e.g. 0,pi/2048)")
     p.add_argument("--resolution", help="N1xN2, default 600x200")
-    p.add_argument("--k2-max", dest="k2_max", type=float)
+    p.add_argument("--k2-max")
     p.add_argument("--out")
 
     p = sub.add_parser("converge", parents=[modified],
                        help="fixed-step refinement study")
     p.add_argument("--methods")
     p.add_argument("--steps")
-    p.add_argument("--ref-method", dest="ref_method")
-    p.add_argument("--ref-steps", dest="ref_steps", type=int)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--ref-method")
+    p.add_argument("--ref-steps")
+    p.add_argument("--workers")
     p.add_argument("--out")
 
     p = sub.add_parser("longtime", parents=[run], help="error-vs-time series")
     p.add_argument("--steps", help="single step count")
     p.add_argument("--runs", help="semicolon list: method[:modspec];...")
-    p.add_argument("--n-samples", dest="n_samples", type=int)
-    p.add_argument("--ref-method", dest="ref_method")
-    p.add_argument("--ref-steps", dest="ref_steps", type=int)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--n-samples")
+    p.add_argument("--ref-method")
+    p.add_argument("--ref-steps")
+    p.add_argument("--workers")
     p.add_argument("--out")
 
     p = sub.add_parser("solve", parents=[modified],
@@ -485,99 +510,72 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = _load_config(args.config) if args.config else {}
         return _dispatch(args, cfg)
-    except ConfigError as e:
-        print("config error: %s" % e, file=sys.stderr)
-        return EXIT_CONFIG
     except ReferenceFailure as e:
         print("reference failure: %s" % e, file=sys.stderr)
         return EXIT_REFERENCE
+    except ValueError as e:     # a ConfigError, or a value the library rejects
+        print("config error: %s" % e, file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def _dispatch(args, cfg) -> int:
     cmd = args.command
+    get = functools.partial(_get, args, cfg)
     if cmd == "stability":
-        methods = _csv_list(_get(args, cfg, "methods", "erk4"), str)
-        rhos = _get(args, cfg, "rho", [0.0],
-                    lambda s: _csv_list(s, parse_angle))
-        res_s = _get(args, cfg, "resolution", "600x200")
-        try:
-            n1, n2 = (int(v) for v in str(res_s).lower().split("x"))
-            if min(n1, n2) < 1:
-                raise ValueError(res_s)
-        except ValueError:
-            raise ConfigError("resolution must look like 600x200") from None
-        out = _get(args, cfg, "out", "stability-maps")
-        _check_methods(methods)
-        try:
-            run_stability_maps(methods, rhos, out, (n1, n2),
-                               k2_max=_get(args, cfg, "k2_max", None, float))
-        except ValueError as e:     # a range or resolution region_grid rejects
-            raise ConfigError(str(e)) from None
+        run_stability_maps(
+            get("methods", ["erk4"], _list_of(str)),
+            get("rho", [0.0], _list_of(parse_angle)),
+            get("out", "stability-maps"),
+            **_given(resolution=get("resolution", None, _resolution),
+                     k2_max=get("k2_max", None, float)))
         return EXIT_OK
 
     if cmd == "converge":
         records = run_convergence(
-            problem=_get(args, cfg, "problem", "zds"),
-            nx=_get(args, cfg, "nx", 128, int),
-            t_end=_get(args, cfg, "t_end", 40.0, float),
-            methods=_csv_list(_get(args, cfg, "methods", "erk4"), str),
-            steps=_csv_list(_get(args, cfg, "steps", "500,1000"), int),
+            workers=get("workers", os.cpu_count() or 1, int),
+            out_csv=get("out", "converge.csv"),
             modification=_build_modification(args, cfg),
-            ref_method=_get(args, cfg, "ref_method", "rk4"),
-            ref_steps=_get(args, cfg, "ref_steps", 200000, int),
-            workers=_get(args, cfg, "workers", os.cpu_count() or 1, int),
-            out_csv=_get(args, cfg, "out", "converge.csv"))
-        if all(r.status == "blowup" for r in records):
-            return EXIT_ALL_BLOWUP
-        return EXIT_OK
+            **_given(problem=get("problem"), nx=get("nx", None, int),
+                     t_end=get("t_end", None, float),
+                     methods=get("methods", None, _list_of(str)),
+                     steps=get("steps", None, _list_of(int)),
+                     ref_method=get("ref_method"),
+                     ref_steps=get("ref_steps", None, int)))
+        return (EXIT_ALL_BLOWUP if all(r.status == "blowup" for r in records)
+                else EXIT_OK)
 
     if cmd == "longtime":
-        runs = []
-        for item in str(_get(args, cfg, "runs", "erk4")).split(";"):
-            item = item.strip()
-            if not item:
-                continue
-            name, _, modspec = item.partition(":")
-            runs.append((name, _cast("runs", modspec or "none",
-                                     parse_modification)))
         series = run_longtime(
-            problem=_get(args, cfg, "problem", "kdv"),
-            nx=_get(args, cfg, "nx", 512, int),
-            t_end=_get(args, cfg, "t_end", 160.0, float),
-            n_steps=_get(args, cfg, "steps", 56000, int),
-            runs=runs,
-            n_samples=_get(args, cfg, "n_samples", 30, int),
-            ref_method=_get(args, cfg, "ref_method", "imrk4"),
-            ref_steps=_get(args, cfg, "ref_steps", 560000, int),
-            workers=_get(args, cfg, "workers", os.cpu_count() or 1, int),
-            out_csv=_get(args, cfg, "out", "longtime.csv"))
-        if all(rows and rows[-1][2] == "blowup" for rows in series.values()):
-            return EXIT_ALL_BLOWUP
-        return EXIT_OK
+            workers=get("workers", os.cpu_count() or 1, int),
+            out_csv=get("out", "longtime.csv"),
+            **_given(problem=get("problem"), nx=get("nx", None, int),
+                     t_end=get("t_end", None, float),
+                     n_steps=get("steps", None, int),
+                     runs=get("runs", None, _runs),
+                     n_samples=get("n_samples", None, int),
+                     ref_method=get("ref_method"),
+                     ref_steps=get("ref_steps", None, int)))
+        return (EXIT_ALL_BLOWUP if all(rows and rows[-1][2] == "blowup"
+                                       for rows in series.values())
+                else EXIT_OK)
 
     if cmd == "solve":
         res = run_solve(
-            problem=_get(args, cfg, "problem", "zds"),
-            nx=_get(args, cfg, "nx", 128, int),
-            method=_get(args, cfg, "method", "erk4"),
-            n_steps=_get(args, cfg, "steps", 1000, int),
-            t_end=_get(args, cfg, "t_end", 40.0, float),
+            problem=get("problem", "zds"),
+            nx=get("nx", 128, int),
+            method=get("method", "erk4"),
+            n_steps=get("steps", 1000, int),
+            t_end=get("t_end", 40.0, float),
             modification=_build_modification(args, cfg),
-            out_path=_get(args, cfg, "out", "solution.txt"))
+            out_path=get("out", "solution.txt"))
         return EXIT_OK if res["ok"] else EXIT_ALL_BLOWUP
 
-    if cmd == "reference":
-        t_end = _get(args, cfg, "t_end", 40.0, float)
-        sample_times = _get(args, cfg, "samples", [t_end],
-                            lambda s: _csv_list(s, float))
-        ensure_reference(_get(args, cfg, "problem", "zds"),
-                         _get(args, cfg, "nx", 128, int),
-                         _get(args, cfg, "method", "rk4"),
-                         _get(args, cfg, "steps", 200000, int),
-                         t_end, sample_times)
-        return EXIT_OK
-
-    raise ConfigError("unknown command: %r" % (cmd,))
+    # "reference" (argparse admits no other command)
+    t_end = get("t_end", 40.0, float)
+    ensure_reference(get("problem", "zds"), get("nx", 128, int),
+                     get("method", "rk4"), get("steps", 200000, int),
+                     t_end, get("samples", [t_end], _list_of(float)))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -200,6 +200,8 @@ class RepartitionSpec:
         if self.epsilon is None:
             if self.rho is None:
                 raise ValueError("repartition needs rho or a raw epsilon")
+            if self.kind == "identity":
+                raise ValueError("identity repartition needs a raw epsilon")
             if not 0.0 <= self.rho < math.pi / 2:
                 raise ValueError("rho must lie in [0, pi/2)")
         elif self.epsilon < 0:
@@ -247,8 +249,6 @@ def repartition_shift(L: np.ndarray, spec: RepartitionSpec,
             eps = math.tan(spec.rho) / _unit_modulus_wavenumber(L, grid) ** 2
     else:
         D = -np.ones_like(L, dtype=np.float64)
-        if spec.epsilon is None:
-            raise ValueError("identity repartition needs a raw epsilon")
         eps = spec.epsilon
     return eps * D
 
@@ -373,6 +373,9 @@ def read_spectrum(path) -> tuple[dict, np.ndarray]:
         for tok in header[len(_SNAP_MAGIC):].split():
             key, _, val = tok.partition("=")
             meta[key] = val
+        if not {"Nx", "t"} <= meta.keys():
+            raise ValueError("truncated spectrum snapshot %s: header lacks "
+                             "Nx or t" % (path,))
         nx = int(meta["Nx"])
         meta["Nx"] = nx
         meta["t"] = float(meta["t"])

@@ -41,7 +41,8 @@ from .spectral import RepartitionSpec, repartition_shift
 __all__ = [
     "DahlquistPoint", "RepartitionAngle", "StabilityGrid",
     "stability_scalar", "epbm_transfer_matrix", "power_bounded_classification",
-    "region_grid", "grid_to_csv", "column_split_exists", "asymptotic_decay",
+    "check_resolution", "region_grid", "grid_to_csv", "column_split_exists",
+    "asymptotic_decay",
     "STABLE_TOL", "MARGINAL_LIMIT",
 ]
 
@@ -164,11 +165,9 @@ class StabilityGrid:
     classification: np.ndarray  # (n1, n2) of {stable, marginal, unstable}
 
 
-def region_grid(method: MethodSpec, k1_range: tuple[float, float],
-                k2_range: tuple[float, float], resolution: tuple[int, int],
-                angle: Optional[RepartitionSpec] = None) -> StabilityGrid:
-    """Sample |R^| on a (k1, k2) product grid, stepped once as one problem
-    broadcast from the k1 column and the k2 row (phi tables per k1 only)."""
+def check_resolution(resolution) -> tuple[int, int]:
+    """(n1, n2) of a grid resolution, or ValueError unless it is two
+    positive integers."""
     if len(resolution) != 2 or not all(isinstance(n, (int, np.integer))
                                        for n in resolution):
         raise ValueError("resolution must be two integers, got %r"
@@ -176,6 +175,15 @@ def region_grid(method: MethodSpec, k1_range: tuple[float, float],
     n1, n2 = int(resolution[0]), int(resolution[1])
     if n1 < 1 or n2 < 1:
         raise ValueError("resolution must be positive")
+    return n1, n2
+
+
+def region_grid(method: MethodSpec, k1_range: tuple[float, float],
+                k2_range: tuple[float, float], resolution: tuple[int, int],
+                angle: Optional[RepartitionSpec] = None) -> StabilityGrid:
+    """Sample |R^| on a (k1, k2) product grid, stepped once as one problem
+    broadcast from the k1 column and the k2 row (phi tables per k1 only)."""
+    n1, n2 = check_resolution(resolution)
     if not np.isfinite(np.concatenate([k1_range, k2_range])).all():
         raise ValueError("k1 and k2 ranges must be finite")
     if k1_range[0] < 0:

@@ -56,6 +56,7 @@ class TestModificationFlags:
         ("hyperviscosity:8:1e10", None), ("none", None),
         (None, "8"), (None, "5:1.0"),
         ("identity:1", "8:1e10"),
+        ("identity:rho=0.3", None),     # identity takes eps only
     ])
     def test_rejects(self, rep, hyper):
         with pytest.raises(ConfigError):
@@ -168,6 +169,30 @@ class TestEnsureReference:
         assert not [e for e in os.listdir(cache) if ".tmp." in e]
         assert len(os.listdir(cache)) == 2
 
+    @pytest.mark.parametrize("damage", ["mid-header", "mid-row", "missing"])
+    def test_unreadable_snapshot_exit_code(self, tmp_path, monkeypatch,
+                                           capsys, damage):
+        # a damaged cache entry is a reference failure naming the entry,
+        # not a usage error
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("EXPSTAB_CACHE_DIR", str(cache))
+        argv = ["reference", "--nx", "32", "--steps", "500", "--t-end", "1.0"]
+        assert main(argv) == 0
+        entry = os.path.join(cache, os.listdir(cache)[0])
+        snap = os.path.join(entry, "snap-0000.txt")
+        with open(snap) as f:
+            text = f.read()
+        if damage == "missing":
+            os.remove(snap)
+        else:
+            with open(snap, "w") as f:
+                f.write(text[:30] if damage == "mid-header" else text[:500])
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("reference failure:")
+        assert entry in err[0]
+
     def test_removes_temp_dirs_of_dead_builds(self, tmp_path, monkeypatch):
         # a build killed by a signal leaves <entry>.tmp.<pid>; the next call
         # for the entry removes it once that pid is gone, and keeps the temp
@@ -240,6 +265,8 @@ class TestRunConvergence:
         monkeypatch.setenv("EXPSTAB_CACHE_DIR", str(tmp_path / "cache"))
         with pytest.raises(ConfigError):
             run_convergence(steps=[100, 50])
+        with pytest.raises(ConfigError):
+            run_convergence(steps=[0, 50])
         with pytest.raises(ConfigError):
             run_convergence(methods=["rk5"], steps=[50, 100])
         with pytest.raises(ConfigError):
@@ -347,6 +374,10 @@ class TestRunLongtime:
         with pytest.raises(ConfigError):    # not a multiple of the steps
             run_longtime(problem="kdv", nx=64, runs=[("erk4", None)],
                          n_steps=200, ref_steps=2100)
+        for counts in (dict(n_steps=0), dict(n_samples=0)):
+            with pytest.raises(ConfigError):
+                run_longtime(problem="kdv", nx=64, runs=[("erk4", None)],
+                             ref_steps=2000, **counts)
 
 
 def test_run_stability_maps(tmp_path):
@@ -362,6 +393,20 @@ def test_run_stability_maps(tmp_path):
     # default k2 band for erk4 is 12
     last = lines[-1].split(",")
     assert float(last[0]) == 60.0 and float(last[1]) == 12.0
+
+
+@pytest.mark.parametrize("bad", [dict(resolution=(0, 5)),
+                                 dict(resolution=(5, 0)),
+                                 dict(methods=["rk5"]),
+                                 dict(rhos=[0.0, 2.0]),
+                                 dict(k2_max=float("inf"))],
+                         ids=["n1=0", "n2=0", "method", "rho", "k2_max"])
+def test_run_stability_maps_rejects_before_output(tmp_path, bad):
+    kwargs = dict(methods=["erk4"], rhos=[0.0], out_dir=tmp_path / "maps",
+                  resolution=(5, 4))
+    with pytest.raises(ValueError):
+        run_stability_maps(**{**kwargs, **bad})
+    assert not (tmp_path / "maps").exists()
 
 
 class TestRunSolve:
@@ -453,6 +498,53 @@ class TestMain:
                    "--out", str(tmp_path)] + flags)
         assert rc == 2
         assert os.listdir(tmp_path) == []
+
+    # each value passes the same checks as a flag and as a config line
+    BAD_VALUES = [
+        ("solve", "nx", "100"), ("solve", "nx", "abc"),
+        ("solve", "nx", "lots"), ("solve", "steps", "0"),
+        ("solve", "t_end", "-1"), ("solve", "repartition", "identity:rho=0.3"),
+        ("stability", "resolution", "0x5"), ("longtime", "n_samples", "0"),
+    ]
+    BASE = {"solve": {"nx": "32", "steps": "10", "t_end": "0.1"},
+            "stability": {"methods": "erk4"},
+            "longtime": {"nx": "32", "t_end": "0.5", "steps": "10",
+                         "ref_steps": "100"}}
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command, key, value", BAD_VALUES)
+    def test_bad_value_exit_code(self, tmp_path, monkeypatch, capsys,
+                                 source, command, key, value):
+        monkeypatch.setenv("EXPSTAB_CACHE_DIR", str(tmp_path / "cache"))
+        out = tmp_path / "out"
+        flags = {**self.BASE[command], "out": str(out)}
+        flags.pop(key, None)
+        argv = [command]
+        for k, v in flags.items():
+            argv += ["--" + k.replace("_", "-"), v]
+        if source == "flag":
+            argv += ["--" + key.replace("_", "-"), value]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("%s = %s\n" % (key, value))
+            argv = ["--config", str(cfg)] + argv
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert not out.exists()
+        assert not (tmp_path / "cache").exists()
+
+    def test_console_bad_value_exit_code(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "expstab", "solve", "--nx", "100",
+             "--out", str(tmp_path / "sol.txt")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "config error: Nx must be a power of two >= 32"]
 
     def test_unknown_method_in_stability(self, tmp_path):
         rc = main(["stability", "--methods", "rk5", "--rho", "0",
