@@ -258,6 +258,8 @@ def run_convergence(problem: str = "zds", nx: int = 128, t_end: float = 40.0,
                     workers: int = 1, out_csv=None) -> list[RunRecord]:
     """Fixed-step refinement study against a cached fine reference."""
     steps = _check_steps(steps)
+    if not methods:
+        raise ConfigError("need at least one method")
     _check_methods([*methods, ref_method])
     if ref_steps < 10 * max(steps):
         raise ConfigError("reference steps must be >= 10x the largest "
@@ -315,6 +317,8 @@ def run_longtime(problem: str = "kdv", nx: int = 512, t_end: float = 160.0,
     against a cached reference.  The even sample times snap to the run's
     step grid, which the reference shares, so both are compared at the same
     times.  Runs of one method step together as one batch."""
+    if not runs:
+        raise ConfigError("need at least one run")
     _check_methods([m for m, _ in runs] + [ref_method])
     keys = [(m, _mod_describe(mod)) for m, mod in runs]
     if len(set(keys)) < len(keys):
@@ -322,6 +326,9 @@ def run_longtime(problem: str = "kdv", nx: int = 512, t_end: float = 160.0,
             k for i, k in enumerate(keys) if k in keys[:i]))
     if n_steps < 1 or n_samples < 1:
         raise ConfigError("step and sample counts must be >= 1")
+    if n_samples > n_steps:     # sample times snap to distinct steps
+        raise ConfigError("sample count %d exceeds the step count %d"
+                          % (n_samples, n_steps))
     if ref_steps < 10 * n_steps or ref_steps % n_steps:
         raise ConfigError("reference steps must be a multiple (>= 10) of the "
                           "run step count")

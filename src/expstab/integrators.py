@@ -14,6 +14,17 @@ an (R, n) L (`integrate_many`).
             L treated implicitly (diagonal solves), N explicitly
   rk4       classical Runge-Kutta on the unsplit right-hand side
   exp_euler first-order exponential Euler
+
+The phi combinations of a step depend on (L, h) alone, so the steppers fold
+them into coefficient arrays built on the first step of each h and memoized
+on the run's PhiCache: ERK4's Krogstad weights; ESDC6's per-substep
+phi_0 and h_j*phi_1 and its phi_k stacked over the three substeps, so that
+one weight product and one pass give a sweep's three quadratures; EPBM5's
+phi_k and r*eta_j^k stacked over the five nodes, so that a pass combines
+all nodes at once; IMRK4's stage denominator and its scaled tableau
+entries.  Each array is combined as the per-step form combined it, and the
+stacked products repeat the per-node ones elementwise, so every family
+steps byte-identically to that form (tests/step_oracle.py keeps it).
 """
 from __future__ import annotations
 
@@ -151,84 +162,140 @@ def imrk_tableau() -> ButcherPair:
 # --- steppers ----------------------------------------------------------------
 # Every stepper takes (problem, t, y, h, phis, tableau) and returns the new y
 # (the block method's y is its (5, n) block of node values); the tableau is
-# None for the families that have none.
+# None for the families that have none.  A family's `_*_coefficients` runs
+# on the first step of each h; `phis.coefficients` hands its arrays back after.
 
 def step_exp_euler(problem, t, y, h, phis: PhiCache, tableau=None) -> np.ndarray:
     T = phis.table(h)
     return T.values[0] * y + h * T.values[1] * problem.nonlinear(t, y)
 
 
+def _erk4_coefficients(phis: PhiCache, h, tableau=None) -> tuple:
+    """e^(hL/2), e^(hL) and the Krogstad weights, each combined as the
+    per-step form combined it, so the step is unchanged to the bit."""
+    e2, p12, p22 = phis.table(0.5 * h).values[:3]
+    e1, p1, p2, p3 = phis.table(h).values[:4]
+    return (e2, e1, (0.5 * h) * p12, 0.5 * p12 - p22, p22, p1 - 2.0 * p2,
+            2.0 * p2, p1 - 3.0 * p2 + 4.0 * p3, 2.0 * p2 - 4.0 * p3,
+            -p2 + 4.0 * p3)
+
+
 def step_erk4(problem, t, y, h, phis: PhiCache, tableau=None) -> np.ndarray:
     """Krogstad exponential RK4; reduces to classical RK4 at L = 0."""
     N = problem.nonlinear
-    Th = phis.table(0.5 * h)
-    Tf = phis.table(h)
-    e2, p12, p22 = Th.values[0], Th.values[1], Th.values[2]
-    e1, p1, p2, p3 = Tf.values[0], Tf.values[1], Tf.values[2], Tf.values[3]
+    e2, e1, a10, a20, a21, a30, a32, b0, b12, b3 = phis.coefficients(
+        _erk4_coefficients, h)
+    e2y, e1y = e2 * y, e1 * y
 
     K0 = N(t, y)
-    Y1 = e2 * y + (0.5 * h) * p12 * K0
+    Y1 = e2y + a10 * K0
     K1 = N(t + 0.5 * h, Y1)
-    Y2 = e2 * y + h * ((0.5 * p12 - p22) * K0 + p22 * K1)
+    Y2 = e2y + h * (a20 * K0 + a21 * K1)
     K2 = N(t + 0.5 * h, Y2)
-    Y3 = e1 * y + h * ((p1 - 2.0 * p2) * K0 + 2.0 * p2 * K2)
+    Y3 = e1y + h * (a30 * K0 + a32 * K2)
     K3 = N(t + h, Y3)
-    return e1 * y + h * ((p1 - 3.0 * p2 + 4.0 * p3) * K0
-                         + (2.0 * p2 - 4.0 * p3) * (K1 + K2)
-                         + (-p2 + 4.0 * p3) * K3)
+    return e1y + h * (b0 * K0 + b12 * (K1 + K2) + b3 * K3)
+
+
+def _esdc6_coefficients(phis: PhiCache, h, tableau: ESDCTableau) -> tuple:
+    """Per substep j of length h_j: E_j = phi_0(h_j L) and D_j = h_j phi_1(h_j
+    L); P[k-1] stacks phi_k(h_j L) over the three substeps, H the h_j, and
+    Wt the rows W_j[nu] of the quadrature weights in (nu, j) order, so one
+    product Wt @ N and one pass over P give all three quadratures of a
+    sweep, each combined as the per-substep form combined it."""
+    hs = [h * d for d in tableau.delta]
+    V = [phis.table(hj).values for hj in hs]
+    E = [v[0] for v in V]
+    D = [hj * v[1] for hj, v in zip(hs, V)]
+    P = np.stack([np.stack([v[k] for v in V]) for k in range(1, 5)])
+    H = np.array(hs).reshape((3,) + (1,) * phis.L_diag.ndim)
+    Wt = np.swapaxes(tableau.weights, 0, 1).reshape(12, 4).astype(np.complex128)
+    return E, D, P, H, Wt
+
+
+def _esdc6_quadratures(Nold, P, H, Wt) -> np.ndarray:
+    """h_j * sum_nu phi_(nu+1)(h_j L) * (W_j @ Nold)[nu] for the three
+    substeps j, accumulated in place: on a stability grid the node values
+    are large, and the (12, ...) product dies with this call."""
+    b = (Wt @ Nold.reshape(4, -1)).reshape((4, 3) + Nold.shape[1:])
+    quad = P[0] * b[0]
+    for k in range(1, 4):
+        quad += P[k] * b[k]
+    return np.multiply(H, quad, out=quad)
 
 
 def step_esdc6(problem, t0, y0, h, phis: PhiCache,
                tableau: ESDCTableau) -> np.ndarray:
     N = problem.nonlinear
-    eta, delta, W = tableau.nodes, tableau.delta, tableau.weights
-    T = [phis.table(h * d) for d in delta]    # delta[0] == delta[2]: 2 distinct
+    E, D, P, H, Wt = phis.coefficients(_esdc6_coefficients, h, tableau)
+    tn = [t0 + h * eta for eta in tableau.nodes]
 
     # exponential-Euler predictor along the substeps
-    Y = [y0, None, None, None]
-    Nval = [N(t0, y0), None, None, None]
+    Y = y0
+    Nval = [N(t0, y0)]
     for j in range(3):
-        hj = h * delta[j]
-        Y[j + 1] = T[j].values[0] * Y[j] + hj * T[j].values[1] * Nval[j]
-        Nval[j + 1] = N(t0 + h * eta[j + 1], Y[j + 1])
+        Y = E[j] * Y + D[j] * Nval[j]
+        Nval.append(N(tn[j + 1], Y))
 
     for sweep in range(tableau.sweeps):
         last = sweep == tableau.sweeps - 1
         Nold = np.asarray(Nval)
-        Nflat = Nold.reshape(4, -1)
-        Ynew = [y0, None, None, None]
-        Nval = [Nold[0], None, None, None]
+        quad = _esdc6_quadratures(Nold, P, H, Wt)
+        Y = y0
+        Nval = [Nold[0]]
         for j in range(3):
-            hj = h * delta[j]
-            V = T[j].values
-            b = (W[j] @ Nflat).reshape(Nold.shape)
-            quad = hj * (V[1] * b[0] + V[2] * b[1] + V[3] * b[2] + V[4] * b[3])
-            Ynew[j + 1] = V[0] * Ynew[j] + hj * V[1] * (Nval[j] - Nold[j]) + quad
+            Y = E[j] * Y + D[j] * (Nval[j] - Nold[j]) + quad[j]
             if j < 2 or not last:   # node-3 value of the final sweep is unused
-                Nval[j + 1] = N(t0 + h * eta[j + 1], Ynew[j + 1])
-        Y = Ynew
-    return Y[3]
+                Nval.append(N(tn[j + 1], Y))
+    return Y
 
 
-def _epbm_pass(problem, block, t_base, r, alpha, phis, tab) -> np.ndarray:
-    """One interpolate-and-propagate pass.  alpha=1 advances the block by r,
-    alpha=0 re-expands it in place about the new node-1 value."""
-    z = tab.z
+def _epbm5_coefficients(phis: PhiCache, r, tab: EPBMTableau) -> list:
+    """(E, P, c, zero) for the predictor pass (alpha = 1) and the corrector
+    pass (alpha = 0), stacked over the five nodes j with eta_j = z_j +
+    alpha + 1: E[j] = phi_0(r eta_j L), P[k-1][j] = phi_k(r eta_j L),
+    c[k-1][j] = r eta_j^k, and `zero` the node at eta_j = 0, which is y_1
+    itself."""
+    shape = phis.L_diag.shape
+    passes = []
+    for alpha in (1.0, 0.0):
+        E = np.ones((5,) + shape, dtype=np.complex128)
+        P = np.zeros((4, 5) + shape, dtype=np.complex128)
+        c = np.zeros((4, 5) + (1,) * len(shape), dtype=np.complex128)
+        zero = None
+        for j in range(5):
+            eta = tab.z[j] + alpha + 1.0
+            if eta == 0.0:
+                zero = j
+                continue
+            V = phis.table(r * eta).values
+            E[j] = V[0]
+            for k in range(1, 5):
+                P[k - 1, j] = V[k]
+                c[k - 1, j] = r * eta ** k
+        passes.append((E, P, c, zero))
+    return passes
+
+
+def _epbm_derivatives(problem, block, t_base, r, tab) -> np.ndarray:
+    """v_1..v_4 from N at block nodes 2..5 (the node values die here)."""
     N = problem.nonlinear
-    nvals = np.asarray([N(t_base + r * z[j], block[j]) for j in range(1, 5)])
-    v = (tab.vmap @ nvals.reshape(4, -1)).reshape(nvals.shape)
-    y1 = block[0]
-    out = np.empty_like(block)
-    for j in range(5):
-        etaj = z[j] + alpha + 1.0
-        if etaj == 0.0:
-            out[j] = y1
-            continue
-        T = phis.table(r * etaj)
-        acc = T.values[0] * y1
-        for k in range(1, 5):
-            acc = acc + (r * etaj ** k) * (T.values[k] * v[k - 1])
-        out[j] = acc
+    nvals = np.asarray([N(t_base + r * tab.z[j], block[j])
+                        for j in range(1, 5)])
+    return (tab.vmap @ nvals.reshape(4, -1)).reshape(nvals.shape)
+
+
+def _epbm_pass(problem, block, t_base, r, tab, E, P, c, zero) -> np.ndarray:
+    """One interpolate-and-propagate pass over the five nodes at once."""
+    v = _epbm_derivatives(problem, block, t_base, r, tab)
+    out = E * block[0]
+    term = np.empty_like(out)   # one buffer: a grid's (5, n1, n2) is large
+    for k in range(4):
+        np.multiply(P[k], v[k], out=term)
+        np.multiply(c[k], term, out=term)
+        out += term
+    if zero is not None:
+        out[zero] = block[0]
     return out
 
 
@@ -236,8 +303,22 @@ def step_epbm5(problem, t, block, h, phis: PhiCache,
                tableau: EPBMTableau) -> np.ndarray:
     """Two-pass composite step: predictor pass advances the block by h,
     corrector pass rebuilds it about the advanced node 1."""
-    mid = _epbm_pass(problem, block, t, h, 1.0, phis, tableau)
-    return _epbm_pass(problem, mid, t + h, h, 0.0, phis, tableau)
+    pred, corr = phis.coefficients(_epbm5_coefficients, h, tableau)
+    mid = _epbm_pass(problem, block, t, h, tableau, *pred)
+    return _epbm_pass(problem, mid, t + h, h, tableau, *corr)
+
+
+def _imrk4_coefficients(phis: PhiCache, h, tab: ButcherPair) -> tuple:
+    """The stage denominator 1 - h gamma L (checked for singularity), each
+    stage's nonzero (h a_ij, lin/nl, j) terms, and the weights' (h b_i, i)."""
+    denom = 1.0 - (h * tab.gamma) * phis.L_diag
+    if np.any(denom == 0):
+        raise ZeroDivisionError("implicit stage solve is singular")
+    stages = [[(h * A[i, j], kind, j) for j in range(i)
+               for kind, A in ((0, tab.A_implicit), (1, tab.A_explicit))
+               if A[i, j] != 0.0] for i in range(1, 6)]
+    weights = [(h * b, i) for i, b in enumerate(tab.b) if b != 0.0]
+    return denom, stages, weights
 
 
 def step_imrk4(problem, t, y, h, phis: PhiCache,
@@ -247,28 +328,19 @@ def step_imrk4(problem, t, y, h, phis: PhiCache,
     every stage."""
     L = problem.L_diag
     N = problem.nonlinear
-    AI, AE, b, c = tableau.A_implicit, tableau.A_explicit, tableau.b, tableau.c
-    denom = 1.0 - (h * tableau.gamma) * L
-    if np.any(denom == 0):
-        raise ZeroDivisionError("implicit stage solve is singular")
-
+    denom, stages, weights = phis.coefficients(_imrk4_coefficients, h, tableau)
     lin = [L * y]
     nl = [N(t, y)]
-    for i in range(1, 6):
+    for i, terms in enumerate(stages, start=1):
         rhs = y.astype(np.complex128, copy=True)
-        for j in range(i):
-            aij_i, aij_e = AI[i, j], AE[i, j]
-            if aij_i != 0.0:
-                rhs += (h * aij_i) * lin[j]
-            if aij_e != 0.0:
-                rhs += (h * aij_e) * nl[j]
+        for a, kind, j in terms:
+            rhs += a * (nl if kind else lin)[j]
         Yi = rhs / denom
         lin.append(L * Yi)
-        nl.append(N(t + c[i] * h, Yi))
+        nl.append(N(t + tableau.c[i] * h, Yi))
     y1 = y.astype(np.complex128, copy=True)
-    for i in range(6):
-        if b[i] != 0.0:
-            y1 += (h * b[i]) * (lin[i] + nl[i])
+    for w, i in weights:
+        y1 += w * (lin[i] + nl[i])
     return y1
 
 

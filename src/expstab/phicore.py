@@ -6,6 +6,13 @@ phi_k(z) = sum_{j>=0} z^j / (j+k)!
 Everything operates elementwise on diagonal (spectral) operators, so a
 "table" is the set of arrays phi_0..phi_K evaluated at h*L_diag; a stack of
 diagonals (one row per run of a batch) gets one table of the same shape.
+
+A `PhiCache` also memoizes what steppers derive from the tables: each
+stepper folds its per-step phi combinations (the Krogstad weights, the
+deferred-correction quadrature products, the block method's node
+propagators) into coefficient arrays, built on the first step of each h
+(`PhiCache.coefficients`), so a fixed-step run requests its tables only
+while those arrays are built.
 """
 from __future__ import annotations
 
@@ -107,15 +114,18 @@ def phi_table(L_diag: np.ndarray, h: float, K: int = 4) -> PhiTable:
 
 
 class PhiCache:
-    """Memoized phi tables for one diagonal operator, keyed by (h, K).
+    """Memoized phi tables for one diagonal operator, keyed by (h, K), and
+    the stepper coefficients derived from them, keyed by (builder, h).
 
-    Steppers ask for tables every step; reuse makes repeated fixed-step
-    integration pay the evaluation cost once per distinct substep length.
+    Reuse makes repeated fixed-step integration pay the evaluation cost once
+    per distinct substep length, and the combination cost once per step
+    size.
     """
 
     def __init__(self, L_diag: np.ndarray):
         self.L_diag = np.asarray(L_diag, dtype=np.complex128)
         self._tables: dict[tuple[float, int], PhiTable] = {}
+        self._coefficients: dict = {}
 
     def table(self, h: float, K: int = 4) -> PhiTable:
         key = (float(h), int(K))
@@ -124,3 +134,13 @@ class PhiCache:
             tab = phi_table(self.L_diag, h, K)
             self._tables[key] = tab
         return tab
+
+    def coefficients(self, build, h: float, tableau=None):
+        """`build(self, h, tableau)`, run on the first request for (build, h)
+        and returned from the memo after that.  Each method family has one
+        builder and one tableau, so (build, h) identifies the arrays."""
+        key = (build, float(h))
+        out = self._coefficients.get(key)
+        if out is None:
+            out = self._coefficients[key] = build(self, h, tableau)
+        return out

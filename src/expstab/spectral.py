@@ -90,12 +90,20 @@ class _Dealias:
         out[self._high_out] = u_hat[self._high_in]
         return out
 
+    # Both transforms scale and mask the FFT's own output in place, and the
+    # forward one keeps its nx retained slots before scaling them: the same
+    # products, in the same operand order, as out-of-place scaling of the
+    # padded grid, without its temporaries.
     def to_phys(self, u_hat: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(self.pad(u_hat), axis=-1) * self._inv
+        w = np.fft.ifft(self.pad(u_hat), axis=-1)
+        w *= self._inv
+        return w
 
     def from_phys(self, w: np.ndarray) -> np.ndarray:
-        wh = np.fft.fft(w, axis=-1) * self._fwd
-        return wh.take(self._slots, axis=-1) * self.band
+        wh = np.fft.fft(w, axis=-1).take(self._slots, axis=-1)
+        wh *= self._fwd
+        wh *= self.band
+        return wh
 
 
 @functools.lru_cache(maxsize=None)
@@ -129,7 +137,10 @@ def build_zds(nx: int = 128) -> tuple[DiagonalProblem, np.ndarray]:
 
     def nonlinear(t, u_hat):
         up = d.to_phys(u_hat)
-        return 2j * d.from_phys(up * np.conj(up) * up)
+        cube = up * np.conj(up)
+        cube *= up
+        out = d.from_phys(cube)
+        return np.multiply(2j, out, out=out)
 
     u0 = np.zeros(nx, dtype=np.complex128)
     u0[0] = nx * 1.0
@@ -156,7 +167,9 @@ def build_kdv(nx: int = 512, delta: float = 0.022
 
     def nonlinear(t, u_hat):
         up = d.to_phys(u_hat)
-        return halfik * d.from_phys(up * up)
+        up *= up
+        out = d.from_phys(up)
+        return np.multiply(halfik, out, out=out)
 
     u0 = np.zeros(nx, dtype=np.complex128)
     u0[1] = 0.5 * nx

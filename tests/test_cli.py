@@ -269,6 +269,8 @@ class TestRunConvergence:
             run_convergence(steps=[0, 50])
         with pytest.raises(ConfigError):
             run_convergence(methods=["rk5"], steps=[50, 100])
+        with pytest.raises(ConfigError, match="at least one method"):
+            run_convergence(methods=[], steps=[50, 100])
         with pytest.raises(ConfigError):
             run_convergence(problem="zds", nx=32, t_end=1.0, methods=["erk4"],
                             steps=[50, 100], ref_method="rk4", ref_steps=500)
@@ -374,10 +376,13 @@ class TestRunLongtime:
         with pytest.raises(ConfigError):    # not a multiple of the steps
             run_longtime(problem="kdv", nx=64, runs=[("erk4", None)],
                          n_steps=200, ref_steps=2100)
-        for counts in (dict(n_steps=0), dict(n_samples=0)):
+        for counts in (dict(n_steps=0), dict(n_samples=0),
+                       dict(n_steps=10, n_samples=11)):
             with pytest.raises(ConfigError):
                 run_longtime(problem="kdv", nx=64, runs=[("erk4", None)],
                              ref_steps=2000, **counts)
+        with pytest.raises(ConfigError, match="at least one run"):
+            run_longtime(problem="kdv", nx=64, runs=[])
 
 
 def test_run_stability_maps(tmp_path):
@@ -505,11 +510,15 @@ class TestMain:
         ("solve", "nx", "lots"), ("solve", "steps", "0"),
         ("solve", "t_end", "-1"), ("solve", "repartition", "identity:rho=0.3"),
         ("stability", "resolution", "0x5"), ("longtime", "n_samples", "0"),
+        ("longtime", "n_samples", "30"), ("longtime", "runs", ";"),
+        ("converge", "methods", ","),
     ]
     BASE = {"solve": {"nx": "32", "steps": "10", "t_end": "0.1"},
             "stability": {"methods": "erk4"},
             "longtime": {"nx": "32", "t_end": "0.5", "steps": "10",
-                         "ref_steps": "100"}}
+                         "ref_steps": "100"},
+            "converge": {"nx": "32", "t_end": "0.5", "steps": "10,20",
+                         "ref_steps": "200"}}
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("command, key, value", BAD_VALUES)

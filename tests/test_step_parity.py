@@ -1,0 +1,186 @@
+"""The steppers with their phi combinations folded into coefficients built
+once per (method, h), and N with in-place scaling, against the per-step
+forms kept in `step_oracle`: every family and both problems' N agree
+bitwise, single, batched and on a stability grid."""
+import math
+
+import numpy as np
+import pytest
+
+import expstab as es
+from expstab import (DiagonalProblem, FAMILIES, integrate, integrate_many,
+                     make_method)
+from expstab.integrators import (PhiCache, _erk4_coefficients,
+                                 _esdc6_coefficients, epbm_initialize,
+                                 with_diagonals)
+
+import step_oracle
+from test_batching import MODS, assert_same_run
+
+
+# (builder, nx, h): ZDS-32 and KdV-64 at the step sizes of test_batching
+PROBLEMS = {"zds": (es.build_zds, 32, 0.2), "kdv": (es.build_kdv, 64, 0.01)}
+
+
+def rng_spectrum(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def assert_parity(got, want):
+    # equal_nan: rk4's hyperviscous batch rows overflow
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+# --- N -----------------------------------------------------------------------
+
+@pytest.mark.parametrize("nx", [32, 128])
+@pytest.mark.parametrize("rows", [None, 3])
+def test_zds_nonlinear_is_bitwise(nx, rows):
+    prob, u0 = es.build_zds(nx)
+    oracle = step_oracle.zds_nonlinear(nx)
+    u = rng_spectrum((nx,) if rows is None else (rows, nx), nx)
+    for v in (u, u0 if rows is None else np.stack([u0] * rows)):
+        assert np.array_equal(prob.nonlinear(0.0, v), oracle(0.0, v))
+
+
+@pytest.mark.parametrize("nx", [32, 512])
+@pytest.mark.parametrize("rows", [None, 3])
+def test_kdv_nonlinear_is_bitwise(nx, rows):
+    prob, u0 = es.build_kdv(nx)
+    oracle = step_oracle.kdv_nonlinear(nx, -0.5j * prob.grid.wavenumbers)
+    u = rng_spectrum((nx,) if rows is None else (rows, nx), nx + 1)
+    for v in (u, u0 if rows is None else np.stack([u0] * rows)):
+        assert np.array_equal(prob.nonlinear(0.0, v), oracle(0.0, v))
+
+
+def test_dealiased_product_is_bitwise():
+    nx = 64
+    grid = es.PeriodicGrid(nx, 0.0, 1.0)
+    u, v = rng_spectrum((2, nx), 5)
+    d = step_oracle.Dealias(nx)
+    want = d.from_phys(d.to_phys(u) * d.to_phys(v))
+    assert np.array_equal(es.dealiased_product(grid, u, v), want)
+
+
+# --- steppers ----------------------------------------------------------------
+
+def start_state(problem, family, u0, h):
+    if make_method(family).block:
+        return epbm_initialize(problem, u0, 0.0, h, make_method(family).tableau)
+    return u0
+
+
+def step_both(family, problem, y, h, n_steps=3):
+    """n_steps steps of the library and of the oracle, each on its own
+    trajectory and its own PhiCache, from (0, y)."""
+    meth = make_method(family)
+    oracle = step_oracle.STEPS[family]
+    phis, phis_o = PhiCache(problem.L_diag), PhiCache(problem.L_diag)
+    got, want = y, y
+    for m in range(n_steps):
+        got = meth.step(problem, m * h, got, h, phis, meth.tableau)
+        want = oracle(problem, m * h, want, h, phis_o, meth.tableau)
+    return got, want
+
+
+@pytest.mark.parametrize("problem_name", sorted(PROBLEMS))
+@pytest.mark.parametrize("family", FAMILIES)
+def test_single_run_parity(problem_name, family):
+    build, nx, h = PROBLEMS[problem_name]
+    prob, u0 = build(nx)
+    got, want = step_both(family, prob, start_state(prob, family, u0, h), h)
+    assert_parity(got, want)
+
+
+@pytest.mark.parametrize("problem_name", sorted(PROBLEMS))
+@pytest.mark.parametrize("family", FAMILIES)
+def test_batch_parity(problem_name, family):
+    # an (R, nx) state with one operator row per run, as integrate_many
+    # steps a batch
+    build, nx, h = PROBLEMS[problem_name]
+    prob, u0 = build(nx)
+    mods = [None, es.RepartitionSpec("abs_k3", rho=math.pi / 64),
+            es.HyperviscositySpec(8, 1e10)]
+    pairs = [(None, None) if m is None else m.diagonals(prob, h) for m in mods]
+    Ls = np.stack([prob.L_diag if dL is None else prob.L_diag + dL
+                   for dL, _ in pairs])
+    dNs = np.stack([np.zeros(nx) if dN is None else dN for _, dN in pairs])
+    stepped = with_diagonals(prob, Ls, dNs)
+    y = start_state(prob, family, u0, h)
+    y = np.stack([y] * len(mods), axis=-2)
+    got, want = step_both(family, stepped, y, h)
+    assert_parity(got, want)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_stability_grid_parity(family):
+    # the shape of a stability probe: L of shape (n1, 1), state (n1, n2)
+    k1 = np.linspace(0.0, 6.0, 7)[:, None]
+    k2 = np.linspace(0.0, 3.0, 5)[None, :]
+    shift = -math.tan(math.pi / 16) * np.abs(k1)
+    z2 = 1j * k2 - shift
+    prob = DiagonalProblem(L_diag=1j * k1 + shift,
+                           nonlinear=lambda t, y: z2 * y)
+    y = np.ones(z2.shape, dtype=np.complex128) + 0.1j * k2
+    if make_method(family).block:
+        y = np.stack([y * (1.0 + 0.1 * j) for j in range(5)])
+    got, want = step_both(family, prob, y, 1.0, n_steps=2)
+    assert_parity(got, want)
+
+
+# --- the coefficient memo ----------------------------------------------------
+
+def test_memo_is_keyed_by_step_size():
+    prob, _ = es.build_zds(32)
+    phis = PhiCache(prob.L_diag)
+    a = phis.coefficients(_erk4_coefficients, 0.1)
+    b = phis.coefficients(_erk4_coefficients, 0.2)
+    assert phis.coefficients(_erk4_coefficients, 0.1) is a
+    assert not np.array_equal(a[0], b[0])      # e^(hL/2)
+    assert not np.array_equal(a[2], b[2])      # (h/2) phi_1(hL/2)
+    tab = make_method("esdc6").tableau
+    c = phis.coefficients(_esdc6_coefficients, 0.1, tab)
+    assert c is not a and not np.array_equal(
+        c[2], phis.coefficients(_esdc6_coefficients, 0.2, tab)[2])
+
+
+def test_memo_is_keyed_by_operator():
+    prob, _ = es.build_zds(32)
+    other = prob.L_diag - 0.5
+    a = PhiCache(prob.L_diag).coefficients(_erk4_coefficients, 0.1)
+    b = PhiCache(other).coefficients(_erk4_coefficients, 0.1)
+    assert not np.array_equal(a[1], b[1])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_one_cache_serves_two_step_sizes(family):
+    # stepping at h1, then h2, then h1 again on one PhiCache gives what
+    # fresh caches give
+    prob, u0 = es.build_zds(32)
+    meth = make_method(family)
+    y = start_state(prob, family, u0, 0.1)
+    shared = PhiCache(prob.L_diag)
+    for h in (0.1, 0.05, 0.1):
+        got = meth.step(prob, 0.0, y, h, shared, meth.tableau)
+        want = meth.step(prob, 0.0, y, h, PhiCache(prob.L_diag), meth.tableau)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_batch_with_mid_run_blowup_matches_single_runs(family):
+    # ZDS-32 on [0, 40]: rows leave the batch at different steps, so the
+    # batch steps on with rebuilt coefficients for its remaining rows
+    n = 60 if family == "esdc6" else 200
+    prob, u0 = es.build_zds(32)
+    meth = make_method(family)
+    times = [10.0, 20.0, 40.0]
+    batch = integrate_many(prob, meth, u0, (0.0, 40.0), n, MODS,
+                           sample_times=times)
+    exits = [r.blowup_step for r in batch if not r.ok]
+    last = max(n if r.ok else r.blowup_step for r in batch)
+    assert exits and min(exits) > 1 and last > min(exits)
+    for got, mod in zip(batch, MODS):
+        assert_same_run(got, integrate(prob, meth, u0, (0.0, 40.0), n,
+                                       modification=mod, sample_times=times))
