@@ -250,6 +250,11 @@ def _check_methods(methods) -> None:
                               % (m, ", ".join(FAMILIES)))
 
 
+def _check_workers(workers) -> None:
+    if workers < 1:
+        raise ConfigError("workers must be >= 1, got %r" % (workers,))
+
+
 def run_convergence(problem: str = "zds", nx: int = 128, t_end: float = 40.0,
                     methods: Sequence[str] = ("erk4",),
                     steps: Sequence[int] = (500, 1000),
@@ -261,6 +266,7 @@ def run_convergence(problem: str = "zds", nx: int = 128, t_end: float = 40.0,
     if not methods:
         raise ConfigError("need at least one method")
     _check_methods([*methods, ref_method])
+    _check_workers(workers)
     if ref_steps < 10 * max(steps):
         raise ConfigError("reference steps must be >= 10x the largest "
                           "experiment step count")
@@ -276,7 +282,7 @@ def run_convergence(problem: str = "zds", nx: int = 128, t_end: float = 40.0,
         prev = None   # (h, err) of previous ok run for observed order
         for ni, n in enumerate(steps):
             res = results[mi * len(steps) + ni]
-            h = (t_end - 0.0) / n
+            h = res["h"]
             if not res["ok"]:
                 records.append(RunRecord(m, mod_s, n, h, float("nan"),
                                          float("nan"), res["wall"], "blowup"))
@@ -320,6 +326,7 @@ def run_longtime(problem: str = "kdv", nx: int = 512, t_end: float = 160.0,
     if not runs:
         raise ConfigError("need at least one run")
     _check_methods([m for m, _ in runs] + [ref_method])
+    _check_workers(workers)
     keys = [(m, _mod_describe(mod)) for m, mod in runs]
     if len(set(keys)) < len(keys):
         raise ConfigError("duplicate run: %s:%s" % next(

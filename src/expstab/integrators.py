@@ -17,14 +17,15 @@ an (R, n) L (`integrate_many`).
 
 The phi combinations of a step depend on (L, h) alone, so the steppers fold
 them into coefficient arrays built on the first step of each h and memoized
-on the run's PhiCache: ERK4's Krogstad weights; ESDC6's per-substep
-phi_0 and h_j*phi_1 and its phi_k stacked over the three substeps, so that
-one weight product and one pass give a sweep's three quadratures; EPBM5's
-phi_k and r*eta_j^k stacked over the five nodes, so that a pass combines
-all nodes at once; IMRK4's stage denominator and its scaled tableau
-entries.  Each array is combined as the per-step form combined it, and the
-stacked products repeat the per-node ones elementwise, so every family
-steps byte-identically to that form (tests/step_oracle.py keeps it).
+on the run's PhiCache (its one memo; the tables are not kept): exponential
+Euler's phi_0 and h*phi_1; ERK4's Krogstad weights; ESDC6's per-substep
+phi_0, h_j*phi_1 and phi_k stacked over its substeps, so that one weight
+product and one pass give a sweep's three quadratures; EPBM5's phi_k and
+r*eta_j^k stacked over its nodes, so that a pass combines them at once;
+IMRK4's stage denominator and scaled tableau entries.  Each array is
+combined as the per-step form combined it, and stacked products repeat the
+per-node ones elementwise, so every family steps byte-identically to that
+form (tests/step_oracle.py keeps it).
 """
 from __future__ import annotations
 
@@ -160,14 +161,19 @@ def imrk_tableau() -> ButcherPair:
 
 
 # --- steppers ----------------------------------------------------------------
-# Every stepper takes (problem, t, y, h, phis, tableau) and returns the new y
-# (the block method's y is its (5, n) block of node values); the tableau is
-# None for the families that have none.  A family's `_*_coefficients` runs
-# on the first step of each h; `phis.coefficients` hands its arrays back after.
+# Every stepper takes (problem, t, y, h, phis, tableau), tableau None if the
+# family has none, and returns the new y (the block method's: its (5, n)
+# node block).  A family's `_*_coefficients` runs on the first step of each
+# h and copies the table rows it keeps, so that no table outlives it.
+
+def _exp_euler_coefficients(phis: PhiCache, h, tableau=None) -> tuple:
+    values = phis.table(h).values
+    return values[0].copy(), h * values[1]
+
 
 def step_exp_euler(problem, t, y, h, phis: PhiCache, tableau=None) -> np.ndarray:
-    T = phis.table(h)
-    return T.values[0] * y + h * T.values[1] * problem.nonlinear(t, y)
+    E, D = phis.coefficients(_exp_euler_coefficients, h)
+    return E * y + D * problem.nonlinear(t, y)
 
 
 def _erk4_coefficients(phis: PhiCache, h, tableau=None) -> tuple:
@@ -175,9 +181,9 @@ def _erk4_coefficients(phis: PhiCache, h, tableau=None) -> tuple:
     per-step form combined it, so the step is unchanged to the bit."""
     e2, p12, p22 = phis.table(0.5 * h).values[:3]
     e1, p1, p2, p3 = phis.table(h).values[:4]
-    return (e2, e1, (0.5 * h) * p12, 0.5 * p12 - p22, p22, p1 - 2.0 * p2,
-            2.0 * p2, p1 - 3.0 * p2 + 4.0 * p3, 2.0 * p2 - 4.0 * p3,
-            -p2 + 4.0 * p3)
+    return (e2.copy(), e1.copy(), (0.5 * h) * p12, 0.5 * p12 - p22,
+            p22.copy(), p1 - 2.0 * p2, 2.0 * p2, p1 - 3.0 * p2 + 4.0 * p3,
+            2.0 * p2 - 4.0 * p3, -p2 + 4.0 * p3)
 
 
 def step_erk4(problem, t, y, h, phis: PhiCache, tableau=None) -> np.ndarray:
@@ -205,7 +211,7 @@ def _esdc6_coefficients(phis: PhiCache, h, tableau: ESDCTableau) -> tuple:
     sweep, each combined as the per-substep form combined it."""
     hs = [h * d for d in tableau.delta]
     V = [phis.table(hj).values for hj in hs]
-    E = [v[0] for v in V]
+    E = [v[0].copy() for v in V]
     D = [hj * v[1] for hj, v in zip(hs, V)]
     P = np.stack([np.stack([v[k] for v in V]) for k in range(1, 5)])
     H = np.array(hs).reshape((3,) + (1,) * phis.L_diag.ndim)
@@ -456,6 +462,8 @@ def integrate_many(problem, method: MethodSpec, y0: np.ndarray,
                    ) -> list[IntegrationResult]:
     """Fixed-step integration with blow-up detection and nearest-step
     sampling, one run per entry of `modifications`, all from y0 with one h.
+    A sample time must be finite (ValueError before any step); one outside
+    [t0, t1] is taken at the nearer end.
 
     Each modification (a spectral.RepartitionSpec or HyperviscositySpec, or
     None) is a pair of diagonals `modification.diagonals(problem, h)`; the
@@ -490,6 +498,15 @@ def integrate_many(problem, method: MethodSpec, y0: np.ndarray,
         if mod is not None and not hasattr(mod, "diagonals"):
             raise ValueError("modification %r has no diagonals()" % (mod,))
     h = (t1 - t0) / n_steps
+    lag = 1 if method.block else 0
+    # map each requested sample time to the step whose output is nearest
+    wants = list(float(s) for s in sample_times) if sample_times else []
+    sample_at = {}
+    for i, s in enumerate(wants):
+        if not math.isfinite(s):
+            raise ValueError("sample time %r is not finite" % (s,))
+        m = min(max(int(round((s - t0) / h)), 0), n_steps) + lag
+        sample_at.setdefault(m, []).append(i)
     pairs = [(None, None) if mod is None else mod.diagonals(problem, h)
              for mod in mods]
     Ls = [L if dL is None else L + dL for dL, _ in pairs]
@@ -503,21 +520,14 @@ def integrate_many(problem, method: MethodSpec, y0: np.ndarray,
             [np.zeros(y0.shape) if dN is None else dN for dN in dNs])
         batch = lambda a: np.stack([a] * len(mods), axis=-1 - y0.ndim)
 
-    wants = list(float(s) for s in sample_times) if sample_times else []
     samples = [[None] * len(wants) for _ in mods]
     results: list = [None] * len(mods)
-    lag = 1 if method.block else 0
 
     def finish(run, t, y, blowup_step=None):
         results[run] = IntegrationResult(
             t=t, y=y, ok=blowup_step is None, blowup_step=blowup_step,
             n_steps=n_steps, h=h, samples=samples[run])
 
-    # map each requested sample time to the step whose output is nearest
-    sample_at = {}
-    for i, s in enumerate(wants):
-        m = min(max(int(round((s - t0) / h)), 0), n_steps) + lag
-        sample_at.setdefault(m, []).append(i)
     for i in sample_at.get(0, ()):
         for run_samples in samples:
             run_samples[i] = (t0, y0.copy())

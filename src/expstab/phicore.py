@@ -7,12 +7,12 @@ Everything operates elementwise on diagonal (spectral) operators, so a
 "table" is the set of arrays phi_0..phi_K evaluated at h*L_diag; a stack of
 diagonals (one row per run of a batch) gets one table of the same shape.
 
-A `PhiCache` also memoizes what steppers derive from the tables: each
-stepper folds its per-step phi combinations (the Krogstad weights, the
-deferred-correction quadrature products, the block method's node
-propagators) into coefficient arrays, built on the first step of each h
-(`PhiCache.coefficients`), so a fixed-step run requests its tables only
-while those arrays are built.
+A `PhiCache` has one memo, of what steppers derive from the tables: each
+stepper folds its per-step phi combinations (exponential Euler's phi_0 and
+h*phi_1, the Krogstad weights, the deferred-correction quadrature products,
+the block method's node propagators) into coefficient arrays, built on the
+first step of each h (`PhiCache.coefficients`).  Tables are transient: one
+is built for each request, while those arrays are built, and not kept.
 """
 from __future__ import annotations
 
@@ -114,26 +114,16 @@ def phi_table(L_diag: np.ndarray, h: float, K: int = 4) -> PhiTable:
 
 
 class PhiCache:
-    """Memoized phi tables for one diagonal operator, keyed by (h, K), and
-    the stepper coefficients derived from them, keyed by (builder, h).
-
-    Reuse makes repeated fixed-step integration pay the evaluation cost once
-    per distinct substep length, and the combination cost once per step
-    size.
-    """
+    """The stepper coefficients of one diagonal operator, memoized by
+    (builder, h); its phi tables are built afresh on each request, so a
+    fixed-step run keeps none after the arrays drawn from them exist."""
 
     def __init__(self, L_diag: np.ndarray):
         self.L_diag = np.asarray(L_diag, dtype=np.complex128)
-        self._tables: dict[tuple[float, int], PhiTable] = {}
         self._coefficients: dict = {}
 
     def table(self, h: float, K: int = 4) -> PhiTable:
-        key = (float(h), int(K))
-        tab = self._tables.get(key)
-        if tab is None:
-            tab = phi_table(self.L_diag, h, K)
-            self._tables[key] = tab
-        return tab
+        return phi_table(self.L_diag, h, K)
 
     def coefficients(self, build, h: float, tableau=None):
         """`build(self, h, tableau)`, run on the first request for (build, h)

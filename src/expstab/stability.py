@@ -43,11 +43,12 @@ __all__ = [
     "stability_scalar", "epbm_transfer_matrix", "power_bounded_classification",
     "check_resolution", "region_grid", "grid_to_csv", "column_split_exists",
     "asymptotic_decay",
-    "STABLE_TOL", "MARGINAL_LIMIT",
+    "STABLE_TOL", "MARGINAL_LIMIT", "POWER_TOL",
 ]
 
 STABLE_TOL = 1e-10      # |R| <= 1 + STABLE_TOL classifies stable
 MARGINAL_LIMIT = 1.01   # .. <= MARGINAL_LIMIT classifies marginal
+POWER_TOL = 1e-8        # |radius - 1| <= POWER_TOL runs the power check
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,7 @@ _POWER_BLOCK = 64          # powers advanced per product in the power check
 _LAST_POWER = 10_001       # the power check covers M^2 .. M^_LAST_POWER
 
 
-def power_bounded_classification(M: np.ndarray, tol: float = 1e-8) -> str:
+def power_bounded_classification(M: np.ndarray) -> str:
     """Classify a square matrix by spectral radius; near radius 1 also check
     every power M^2..M^10001 as a defective-eigenvalue surrogate (max-norm
     must stay within 10x that of M).  The powers are advanced 64 at a time:
@@ -130,7 +131,7 @@ def power_bounded_classification(M: np.ndarray, tol: float = 1e-8) -> str:
         return "marginal"
     if radius > MARGINAL_LIMIT:
         return "unstable"
-    if abs(radius - 1.0) <= tol:
+    if abs(radius - 1.0) <= POWER_TOL:
         limit = 10.0 * float(np.max(np.abs(M)))
         with np.errstate(over="ignore", invalid="ignore"):
             P = [M.astype(np.result_type(M, 1.0))]

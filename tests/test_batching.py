@@ -104,6 +104,16 @@ def test_duplicate_rows_give_equal_results():
     assert_same_run(batch[0], batch[1])
 
 
+def counted_zds():
+    """ZDS-32 with N recording the time of each call, and that record."""
+    calls = []
+    base, u0 = es.build_zds(32)
+    prob = DiagonalProblem(base.L_diag,
+                           lambda t, y: calls.append(t) or base.nonlinear(t, y),
+                           base.grid)
+    return prob, u0, calls
+
+
 class ApplyOnly:
     """A modification of the old interface: `apply` without `diagonals`."""
 
@@ -118,13 +128,19 @@ class ApplyOnly:
     ([None, ApplyOnly()], "diagonals"),
 ])
 def test_rejects_bad_modifications_before_any_step(mods, match):
-    calls = []
-    base, u0 = es.build_zds(32)
-    prob = DiagonalProblem(base.L_diag,
-                           lambda t, y: calls.append(t) or base.nonlinear(t, y),
-                           base.grid)
+    prob, u0, calls = counted_zds()
     with pytest.raises(ValueError, match=match):
         integrate_many(prob, make_method("erk4"), u0, (0.0, 1.0), 10, mods)
+    assert calls == []
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_rejects_nonfinite_sample_times_before_any_step(bad, rows):
+    prob, u0, calls = counted_zds()
+    with pytest.raises(ValueError, match="sample time %r" % bad):
+        integrate_many(prob, make_method("erk4"), u0, (0.0, 1.0), 10,
+                       MODS[:rows], sample_times=[0.5, bad])
     assert calls == []
 
 

@@ -274,6 +274,12 @@ class TestRunConvergence:
         with pytest.raises(ConfigError):
             run_convergence(problem="zds", nx=32, t_end=1.0, methods=["erk4"],
                             steps=[50, 100], ref_method="rk4", ref_steps=500)
+        for workers in (0, -3):
+            with pytest.raises(ConfigError, match="workers"):
+                run_convergence(problem="zds", nx=32, t_end=1.0,
+                                methods=["erk4"], steps=[10, 20],
+                                ref_steps=400, workers=workers)
+        assert not (tmp_path / "cache").exists()
 
 
 class TestRunLongtime:
@@ -383,6 +389,10 @@ class TestRunLongtime:
                              ref_steps=2000, **counts)
         with pytest.raises(ConfigError, match="at least one run"):
             run_longtime(problem="kdv", nx=64, runs=[])
+        for workers in (0, -3):
+            with pytest.raises(ConfigError, match="workers"):
+                run_longtime(problem="kdv", nx=64, runs=[("erk4", None)],
+                             n_steps=200, ref_steps=2000, workers=workers)
 
 
 def test_run_stability_maps(tmp_path):
@@ -511,14 +521,17 @@ class TestMain:
         ("solve", "t_end", "-1"), ("solve", "repartition", "identity:rho=0.3"),
         ("stability", "resolution", "0x5"), ("longtime", "n_samples", "0"),
         ("longtime", "n_samples", "30"), ("longtime", "runs", ";"),
-        ("converge", "methods", ","),
+        ("converge", "methods", ","), ("converge", "workers", "-3"),
+        ("reference", "samples", "inf"), ("reference", "samples", "0.5,nan"),
     ]
     BASE = {"solve": {"nx": "32", "steps": "10", "t_end": "0.1"},
             "stability": {"methods": "erk4"},
             "longtime": {"nx": "32", "t_end": "0.5", "steps": "10",
                          "ref_steps": "100"},
             "converge": {"nx": "32", "t_end": "0.5", "steps": "10,20",
-                         "ref_steps": "200"}}
+                         "ref_steps": "200"},
+            "reference": {"nx": "32", "t_end": "1", "method": "rk4",
+                          "steps": "100"}}
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("command, key, value", BAD_VALUES)
@@ -526,7 +539,9 @@ class TestMain:
                                  source, command, key, value):
         monkeypatch.setenv("EXPSTAB_CACHE_DIR", str(tmp_path / "cache"))
         out = tmp_path / "out"
-        flags = {**self.BASE[command], "out": str(out)}
+        flags = dict(self.BASE[command])
+        if command != "reference":      # a reference goes to the cache only
+            flags["out"] = str(out)
         flags.pop(key, None)
         argv = [command]
         for k, v in flags.items():

@@ -248,6 +248,11 @@ def test_sampling_nearest_step():
         assert abs(y[0] - np.exp(lam * t)) < 1e-5
     # the t=0 sample is the initial state itself
     assert res.samples[0][1][0] == 1.0 + 0j
+    # a finite time outside the span (a snapped end can overshoot it by
+    # rounding) is taken at the nearer end
+    ends = integrate(prob, make_method("rk4"), np.array([1.0 + 0j]),
+                     (0.0, 1.0), 10, sample_times=[-0.5, 1.0 + 1e-12])
+    assert [s[0] for s in ends.samples] == pytest.approx([0.0, 1.0], abs=1e-14)
 
 
 def test_sampling_epbm_block_node():

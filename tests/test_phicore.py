@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from expstab.phicore import PhiCache, phi_scalar, phi_table
+from expstab.phicore import phi_scalar, phi_table
 
 # high-precision values computed independently with mpmath (50 digits),
 # covering every evaluation regime: tiny arguments, both series tiers,
@@ -109,16 +109,6 @@ def test_stacked_table_matches_row_tables(rows, n, seed, h):
         want = phi_table(L[r], h).values
         assert np.all(np.abs(table.values[:, r] - want)
                       <= 8 * np.finfo(float).eps * term_sum[:, r])
-
-
-def test_phi_cache_reuse():
-    L = np.array([1j, 2j])
-    cache = PhiCache(L)
-    t1 = cache.table(0.1)
-    t2 = cache.table(0.1)
-    assert t1 is t2
-    t3 = cache.table(0.2)
-    assert t3 is not t1
 
 
 @pytest.mark.parametrize("bad", [-1, 9, 17])

@@ -2,7 +2,9 @@
 once per (method, h), and N with in-place scaling, against the per-step
 forms kept in `step_oracle`: every family and both problems' N agree
 bitwise, single, batched and on a stability grid."""
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -166,6 +168,46 @@ def test_one_cache_serves_two_step_sizes(family):
         got = meth.step(prob, 0.0, y, h, shared, meth.tableau)
         want = meth.step(prob, 0.0, y, h, PhiCache(prob.L_diag), meth.tableau)
         assert np.array_equal(got, want)
+
+
+class CountingCache(PhiCache):
+    """A PhiCache that counts its table requests and keeps a weak reference
+    to each table's values."""
+
+    def __init__(self, L_diag):
+        super().__init__(L_diag)
+        self.requests = 0
+        self.values = []
+
+    def table(self, h, K=4):
+        self.requests += 1
+        tab = super().table(h, K)
+        self.values.append(weakref.ref(tab.values))
+        return tab
+
+
+# table requests of one family's coefficient builder
+TABLES_PER_BUILD = {"exp_euler": 1, "erk4": 2, "esdc6": 3, "epbm5": 9,
+                    "imrk4": 0, "rk4": 0}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_tables_are_requested_only_on_the_first_step_of_each_h(family):
+    # no stepper reads a table once its coefficients for that h exist
+    prob, u0 = es.build_zds(32)
+    meth = make_method(family)
+    y = start_state(prob, family, u0, 0.1)
+    phis = CountingCache(prob.L_diag)
+    counts = []
+    for h in (0.1, 0.1, 0.1, 0.05, 0.05, 0.1):
+        before = phis.requests
+        meth.step(prob, 0.0, y, h, phis, meth.tableau)
+        counts.append(phis.requests - before)
+    n = TABLES_PER_BUILD[family]
+    assert counts == [n, 0, 0, n, 0, 0]
+    # no table outlives the coefficients drawn from it
+    gc.collect()
+    assert [ref() for ref in phis.values] == [None] * 2 * n
 
 
 @pytest.mark.parametrize("family", FAMILIES)
