@@ -163,6 +163,7 @@ def _fmt(x: float) -> str:
 
 
 # digest of the modules that compute a reference, part of its cache key
+# with the NumPy version (N calls NumPy's own pocketfft, see spectral)
 _CODE_DIGEST = hashlib.sha1(b"".join(
     pathlib.Path(__file__).with_name(name).read_bytes()
     for name in ("phicore.py", "integrators.py", "spectral.py"))).hexdigest()[:16]
@@ -193,9 +194,10 @@ def ensure_reference(problem: str, nx: int, method: str, n_steps: int,
     the temp dir is removed on every exit path, and one left by a build
     killed by a signal is removed by the next call for that entry."""
     sample_times = [float(s) for s in sample_times]
-    payload = "problem=%s nx=%d method=%s n=%d t_end=%s samples=%s code=%s" % (
-        problem, nx, method, n_steps, _fmt(t_end),
-        ",".join(_fmt(s) for s in sample_times), _CODE_DIGEST)
+    payload = ("problem=%s nx=%d method=%s n=%d t_end=%s samples=%s code=%s "
+               "numpy=%s" % (problem, nx, method, n_steps, _fmt(t_end),
+                             ",".join(_fmt(s) for s in sample_times),
+                             _CODE_DIGEST, np.__version__))
     digest = hashlib.sha1(payload.encode()).hexdigest()[:16]
     entry = os.path.join(cache_dir(), "%s-nx%d-%s-n%d-%s"
                          % (problem, nx, method, n_steps, digest))

@@ -59,6 +59,15 @@ class PeriodicGrid:
         return self.dk * j
 
 
+@functools.cache
+def _pocketfft():
+    """NumPy's pocketfft gufunc module, bound on the first transform: in
+    NumPy 2.x `numpy.fft` is a lazy submodule, and importing it on first use
+    keeps it out of a process that only builds problems."""
+    from numpy.fft import _pocketfft_umath
+    return _pocketfft_umath
+
+
 class _Dealias:
     """3/2-rule pad/truncate machinery with the wavenumber-slot mapping.
 
@@ -74,6 +83,7 @@ class _Dealias:
         self.half = nx // 2
         self._fwd = nx / self.m
         self._inv = self.m / nx
+        self._inv_fct = np.reciprocal(self.m, dtype=np.float64)
         j = np.minimum(np.arange(nx), nx - np.arange(nx))
         self.band = j <= (2 * self.half) // 3
         # last-axis slots of the nx modes on the padded grid, built once:
@@ -90,17 +100,23 @@ class _Dealias:
         out[self._high_out] = u_hat[self._high_in]
         return out
 
-    # Both transforms scale and mask the FFT's own output in place, and the
-    # forward one keeps its nx retained slots before scaling them: the same
-    # products, in the same operand order, as out-of-place scaling of the
-    # padded grid, without its temporaries.
+    # Both transforms call the pocketfft gufuncs that np.fft.ifft/fft end
+    # in, with the factor `_raw_fft` passes (1/m for the inverse, 1 for the
+    # forward transform): the same C loop without np.fft's per-call Python
+    # set-up, which costs more than the transform at these sizes.  Both then
+    # scale and mask the FFT's own output in place, and the forward one
+    # keeps its nx retained slots before scaling them: the same products,
+    # in the same operand order, as out-of-place scaling of the padded grid,
+    # without its temporaries.
     def to_phys(self, u_hat: np.ndarray) -> np.ndarray:
-        w = np.fft.ifft(self.pad(u_hat), axis=-1)
+        p = self.pad(u_hat)
+        w = _pocketfft().ifft(p, self._inv_fct, out=np.empty_like(p))
         w *= self._inv
         return w
 
     def from_phys(self, w: np.ndarray) -> np.ndarray:
-        wh = np.fft.fft(w, axis=-1).take(self._slots, axis=-1)
+        wh = _pocketfft().fft(w, 1, out=np.empty_like(w))
+        wh = wh.take(self._slots, axis=-1)
         wh *= self._fwd
         wh *= self.band
         return wh
@@ -115,6 +131,10 @@ def dealiased_product(grid: PeriodicGrid, u_hat: np.ndarray,
                       v_hat: np.ndarray) -> np.ndarray:
     """Spectrum of the pointwise product u*v: exact convolution on the
     retained two-thirds band, zero above it."""
+    if np.shape(u_hat)[-1:] != (grid.nx,) or np.shape(v_hat)[-1:] != (grid.nx,):
+        raise ValueError("dealiased_product needs spectra of grid.nx = %d "
+                         "modes along the last axis, got shapes %s and %s"
+                         % (grid.nx, np.shape(u_hat), np.shape(v_hat)))
     d = _dealias_for(grid.nx)
     return d.from_phys(d.to_phys(u_hat) * d.to_phys(v_hat))
 

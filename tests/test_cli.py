@@ -124,6 +124,19 @@ class TestEnsureReference:
             assert a[0] == b[0]
             assert np.array_equal(a[1], b[1])
 
+    def test_key_names_numpy_version(self, tmp_path, monkeypatch):
+        # N runs NumPy's own pocketfft, so another NumPy builds its own entry
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("EXPSTAB_CACHE_DIR", str(cache))
+        for version in ("2.0.0", "2.9.1"):
+            monkeypatch.setattr(np, "__version__", version)
+            ensure_reference("zds", 32, "rk4", 500, 1.0, [1.0])
+        entries = sorted(os.listdir(cache))
+        assert len(entries) == 2
+        metas = [(cache / e / "meta.txt").read_text() for e in entries]
+        assert sorted(m.split()[-1] for m in metas) == ["numpy=2.0.0",
+                                                        "numpy=2.9.1"]
+
     def test_corrupt_meta_detected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EXPSTAB_CACHE_DIR", str(tmp_path / "cache"))
         ensure_reference("zds", 32, "rk4", 500, 1.0, [1.0])

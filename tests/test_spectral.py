@@ -2,6 +2,9 @@
 against a direct convolution oracle, benchmark problem structure, operator
 modifications, and snapshot files."""
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -115,6 +118,14 @@ class TestDealiasedProduct:
             assert np.max(np.abs(got[r] - want)) < 1e-12 * max(
                 1.0, np.max(np.abs(want)))
 
+    @pytest.mark.parametrize("nu, nv", [(31, 31), (33, 33), (64, 64),
+                                        (32, 16)])
+    def test_rejects_wrong_length_spectra(self, nu, nv):
+        g = es.PeriodicGrid(32, 0.0, 1.0)
+        with pytest.raises(ValueError, match=r"grid\.nx = 32 .* \(%d,\) "
+                           r"and \(%d,\)" % (nu, nv)):
+            es.dealiased_product(g, np.ones(nu), np.ones(nv))
+
     def test_roundtrip_is_band_projection(self):
         nx = 32
         d = _Dealias(nx)
@@ -130,6 +141,18 @@ class TestDealiasedProduct:
         u = np.fft.fft(np.cos(3 * x) + 0.2 * np.sin(5 * x))
         phys = d.to_phys(u)
         assert np.max(np.abs(phys.imag)) < 1e-12
+
+
+def test_building_problems_leaves_numpy_fft_unimported():
+    # the FFT is bound on the first transform, not when a problem is built,
+    # so a process that only sets up never imports numpy.fft
+    src = os.path.dirname(os.path.dirname(es.__file__))
+    code = ("import sys, expstab; expstab.build_zds(128); "
+            "expstab.build_kdv(512); print('numpy.fft' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 # --- benchmark problems ---------------------------------------------------------

@@ -15,6 +15,7 @@ from expstab import (DiagonalProblem, FAMILIES, integrate, integrate_many,
 from expstab.integrators import (PhiCache, _erk4_coefficients,
                                  _esdc6_coefficients, epbm_initialize,
                                  with_diagonals)
+from expstab.spectral import _dealias_for
 
 import step_oracle
 from test_batching import MODS, assert_same_run
@@ -55,6 +56,21 @@ def test_kdv_nonlinear_is_bitwise(nx, rows):
     u = rng_spectrum((nx,) if rows is None else (rows, nx), nx + 1)
     for v in (u, u0 if rows is None else np.stack([u0] * rows)):
         assert np.array_equal(prob.nonlinear(0.0, v), oracle(0.0, v))
+
+
+@pytest.mark.parametrize("nx", [32, 128, 512])
+def test_direct_transforms_match_np_fft(nx):
+    # _Dealias calls NumPy's private pocketfft gufuncs; the oracle's public
+    # np.fft calls end in the same loops.  One _Dealias sees shrinking row
+    # counts, as a batch does when rows leave it.
+    d, o = _dealias_for(nx), step_oracle.Dealias(nx)
+    for i, shape in enumerate([(5, 3, nx), (3, nx), (2, nx), (1, nx), (nx,)]):
+        u = rng_spectrum(shape, 10 * nx + i)
+        w = d.to_phys(u)
+        assert_parity(w, o.to_phys(u))
+        assert_parity(d.from_phys(w), o.from_phys(w))
+        w = rng_spectrum(shape[:-1] + (d.m,), 10 * nx + i + 5)
+        assert_parity(d.from_phys(w), o.from_phys(w))
 
 
 def test_dealiased_product_is_bitwise():
