@@ -194,6 +194,8 @@ def ensure_reference(problem: str, nx: int, method: str, n_steps: int,
     the temp dir is removed on every exit path, and one left by a build
     killed by a signal is removed by the next call for that entry."""
     sample_times = [float(s) for s in sample_times]
+    if not sample_times:
+        raise ConfigError("need at least one sample time")
     payload = ("problem=%s nx=%d method=%s n=%d t_end=%s samples=%s code=%s "
                "numpy=%s" % (problem, nx, method, n_steps, _fmt(t_end),
                              ",".join(_fmt(s) for s in sample_times),
@@ -238,8 +240,15 @@ def ensure_reference(problem: str, nx: int, method: str, n_steps: int,
 
 # --- experiment drivers ---------------------------------------------------------
 
+def _whole(name: str, n) -> int:
+    """n as an int, or ConfigError unless it is a whole number."""
+    if n % 1 != 0:
+        raise ConfigError("%s must be a whole number, got %r" % (name, n))
+    return int(n)
+
+
 def _check_steps(steps) -> list:
-    steps = [int(s) for s in steps]
+    steps = [_whole("step count", s) for s in steps]
     if not steps or any(b <= a for a, b in zip([0] + steps, steps)):
         raise ConfigError("step counts must be positive and increasing")
     return steps
@@ -257,6 +266,21 @@ def _check_workers(workers) -> None:
         raise ConfigError("workers must be >= 1, got %r" % (workers,))
 
 
+def _check_out_file(path) -> None:
+    """An output file goes into an existing directory and is not one; no
+    missing directory is made for it."""
+    if path and (os.path.isdir(path)
+                 or not os.path.isdir(os.path.dirname(path) or ".")):
+        raise ConfigError("cannot write %s: not a file in an existing "
+                          "directory" % (os.fspath(path),))
+
+
+def _write_csv(path, header: str, rows) -> None:
+    """The header line, then each row of strings comma-joined; LF endings."""
+    with open(path, "w", newline="\n") as f:
+        f.write("\n".join([header] + [",".join(row) for row in rows]) + "\n")
+
+
 def run_convergence(problem: str = "zds", nx: int = 128, t_end: float = 40.0,
                     methods: Sequence[str] = ("erk4",),
                     steps: Sequence[int] = (500, 1000),
@@ -269,9 +293,10 @@ def run_convergence(problem: str = "zds", nx: int = 128, t_end: float = 40.0,
         raise ConfigError("need at least one method")
     _check_methods([*methods, ref_method])
     _check_workers(workers)
-    if ref_steps < 10 * max(steps):
+    if _whole("reference steps", ref_steps) < 10 * max(steps):
         raise ConfigError("reference steps must be >= 10x the largest "
                           "experiment step count")
+    _check_out_file(out_csv)
     ref = ensure_reference(problem, nx, ref_method, ref_steps, t_end, [t_end])
     y_ref = ref[0][1]
     mod_s = _mod_describe(modification)
@@ -299,20 +324,12 @@ def run_convergence(problem: str = "zds", nx: int = 128, t_end: float = 40.0,
                                      res["wall"], status))
             prev = (h, err) if status == "ok" else None
     if out_csv:
-        _write_records(records, out_csv)
+        _write_csv(out_csv, "method,modification,n_steps,h,relative_error,"
+                   "observed_order,wall_time_seconds,status",
+                   [(r.method, r.modification, str(r.n_steps), _fmt(r.h),
+                     _fmt(r.relative_error), _fmt(r.observed_order),
+                     _fmt(r.wall_time), r.status) for r in records])
     return records
-
-
-def _write_records(records: list[RunRecord], path) -> None:
-    lines = ["method,modification,n_steps,h,relative_error,observed_order,"
-             "wall_time_seconds,status"]
-    for r in records:
-        lines.append("%s,%s,%d,%s,%s,%s,%s,%s"
-                     % (r.method, r.modification, r.n_steps, _fmt(r.h),
-                        _fmt(r.relative_error), _fmt(r.observed_order),
-                        _fmt(r.wall_time), r.status))
-    with open(path, "w", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
 
 
 def run_longtime(problem: str = "kdv", nx: int = 512, t_end: float = 160.0,
@@ -333,6 +350,8 @@ def run_longtime(problem: str = "kdv", nx: int = 512, t_end: float = 160.0,
     if len(set(keys)) < len(keys):
         raise ConfigError("duplicate run: %s:%s" % next(
             k for i, k in enumerate(keys) if k in keys[:i]))
+    n_steps = _whole("step count", n_steps)
+    n_samples = _whole("sample count", n_samples)
     if n_steps < 1 or n_samples < 1:
         raise ConfigError("step and sample counts must be >= 1")
     if n_samples > n_steps:     # sample times snap to distinct steps
@@ -341,6 +360,7 @@ def run_longtime(problem: str = "kdv", nx: int = 512, t_end: float = 160.0,
     if ref_steps < 10 * n_steps or ref_steps % n_steps:
         raise ConfigError("reference steps must be a multiple (>= 10) of the "
                           "run step count")
+    _check_out_file(out_csv)
     sample_times = [t_end * round(i * n_steps / n_samples) / n_steps
                     for i in range(1, n_samples + 1)]
     ref = ensure_reference(problem, nx, ref_method, ref_steps, t_end,
@@ -361,13 +381,10 @@ def run_longtime(problem: str = "kdv", nx: int = 512, t_end: float = 160.0,
             rows.append((res["t"], float("nan"), "blowup"))
         series[key] = rows
     if out_csv:
-        lines = ["method,modification,t,relative_error,status"]
-        for (m, mod_s), rows in series.items():
-            for (t, err, status) in rows:
-                lines.append("%s,%s,%s,%s,%s" % (m, mod_s, _fmt(t),
-                                                 _fmt(err), status))
-        with open(out_csv, "w", newline="\n") as f:
-            f.write("\n".join(lines) + "\n")
+        _write_csv(out_csv, "method,modification,t,relative_error,status",
+                   [(m, mod_s, _fmt(t), _fmt(err), status)
+                    for (m, mod_s), rows in series.items()
+                    for t, err, status in rows])
     return series
 
 
@@ -376,9 +393,14 @@ def run_stability_maps(methods: Sequence[str], rhos: Sequence[float],
                        k2_max: Optional[float] = None) -> list:
     """One classified grid CSV per (method, rho).  Every input is checked
     (ValueError) before the output directory is made."""
+    if not methods or not rhos:
+        raise ConfigError("need at least one method and one angle")
     _check_methods(methods)
     angles = [stab.RepartitionAngle(rho) for rho in rhos]
     n1 = stab.check_resolution(resolution)[0]
+    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise ConfigError("output %s is not a directory"
+                          % (os.fspath(out_dir),))
     paths = []
     for m in methods:
         band = k2_max if k2_max is not None else K2_BANDS[m]
@@ -395,6 +417,7 @@ def run_stability_maps(methods: Sequence[str], rhos: Sequence[float],
 def run_solve(problem: str, nx: int, method: str, n_steps: int, t_end: float,
               modification=None, out_path=None):
     """Single integration; snapshot written with a blow-up flag if needed."""
+    _check_out_file(out_path)
     res = _run_single((problem, nx, method, n_steps, t_end, modification,
                        [t_end]))
     if out_path:
@@ -484,6 +507,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     modified = argparse.ArgumentParser(add_help=False, parents=[run])
     modified.add_argument("--repartition", help="kind:rho=<angle>|eps=<value>")
     modified.add_argument("--hyperviscosity", help="m:gamma")
+    study = argparse.ArgumentParser(add_help=False)  # converge and longtime
+    study.add_argument("--ref-method")
+    study.add_argument("--ref-steps")
+    study.add_argument("--workers")
+    study.add_argument("--out")
 
     p = sub.add_parser("stability", help="classified stability-region maps")
     p.add_argument("--methods")
@@ -492,23 +520,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.add_argument("--k2-max")
     p.add_argument("--out")
 
-    p = sub.add_parser("converge", parents=[modified],
+    p = sub.add_parser("converge", parents=[modified, study],
                        help="fixed-step refinement study")
     p.add_argument("--methods")
     p.add_argument("--steps")
-    p.add_argument("--ref-method")
-    p.add_argument("--ref-steps")
-    p.add_argument("--workers")
-    p.add_argument("--out")
 
-    p = sub.add_parser("longtime", parents=[run], help="error-vs-time series")
+    p = sub.add_parser("longtime", parents=[run, study],
+                       help="error-vs-time series")
     p.add_argument("--steps", help="single step count")
     p.add_argument("--runs", help="semicolon list: method[:modspec];...")
     p.add_argument("--n-samples")
-    p.add_argument("--ref-method")
-    p.add_argument("--ref-steps")
-    p.add_argument("--workers")
-    p.add_argument("--out")
 
     p = sub.add_parser("solve", parents=[modified],
                        help="single run, snapshot output")
@@ -546,31 +567,27 @@ def _dispatch(args, cfg) -> int:
                      k2_max=get("k2_max", None, float)))
         return EXIT_OK
 
+    if cmd in ("converge", "longtime"):     # the options the studies share
+        study = dict(workers=get("workers", os.cpu_count() or 1, int),
+                     out_csv=get("out", cmd + ".csv"),
+                     **_given(problem=get("problem"), nx=get("nx", None, int),
+                              t_end=get("t_end", None, float),
+                              ref_method=get("ref_method"),
+                              ref_steps=get("ref_steps", None, int)))
+
     if cmd == "converge":
         records = run_convergence(
-            workers=get("workers", os.cpu_count() or 1, int),
-            out_csv=get("out", "converge.csv"),
-            modification=_build_modification(args, cfg),
-            **_given(problem=get("problem"), nx=get("nx", None, int),
-                     t_end=get("t_end", None, float),
-                     methods=get("methods", None, _list_of(str)),
-                     steps=get("steps", None, _list_of(int)),
-                     ref_method=get("ref_method"),
-                     ref_steps=get("ref_steps", None, int)))
+            modification=_build_modification(args, cfg), **study,
+            **_given(methods=get("methods", None, _list_of(str)),
+                     steps=get("steps", None, _list_of(int))))
         return (EXIT_ALL_BLOWUP if all(r.status == "blowup" for r in records)
                 else EXIT_OK)
 
     if cmd == "longtime":
         series = run_longtime(
-            workers=get("workers", os.cpu_count() or 1, int),
-            out_csv=get("out", "longtime.csv"),
-            **_given(problem=get("problem"), nx=get("nx", None, int),
-                     t_end=get("t_end", None, float),
-                     n_steps=get("steps", None, int),
-                     runs=get("runs", None, _runs),
-                     n_samples=get("n_samples", None, int),
-                     ref_method=get("ref_method"),
-                     ref_steps=get("ref_steps", None, int)))
+            **study, **_given(n_steps=get("steps", None, int),
+                              runs=get("runs", None, _runs),
+                              n_samples=get("n_samples", None, int)))
         return (EXIT_ALL_BLOWUP if all(rows and rows[-1][2] == "blowup"
                                        for rows in series.values())
                 else EXIT_OK)

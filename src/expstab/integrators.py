@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 _STARTUP_SUBSTEPS = 200    # Krogstad substeps per EPBM5 startup node gap
+_ESDC_SWEEPS = 6           # ESDC6 correction sweeps after its predictor
 
 
 @dataclass
@@ -85,7 +86,6 @@ class ESDCTableau:
     nodes: np.ndarray         # (4,)
     delta: np.ndarray         # (3,) substep lengths, delta[0] == delta[2]
     weights: np.ndarray       # (3, 4, 4), weights[j][nu-1] are the phi_nu coeffs
-    sweeps: int = 6
 
 
 def esdc_tableau() -> ESDCTableau:
@@ -131,7 +131,15 @@ class ButcherPair:
     A_explicit: np.ndarray    # (6, 6) strictly lower triangular
     b: np.ndarray             # (6,)
     c: np.ndarray             # (6,)
-    gamma: float = 0.25
+
+    @property
+    def gamma(self) -> float:
+        """The diagonal entry that implicit stages 2..6 share (stage 1 is
+        explicit), so that one denominator serves every stage solve."""
+        diag = np.diag(self.A_implicit)[1:]
+        if np.any(diag != diag[0]):
+            raise ValueError("implicit stages do not share one diagonal entry")
+        return float(diag[0])
 
 
 def imrk_tableau() -> ButcherPair:
@@ -232,6 +240,9 @@ def _esdc6_quadratures(Nold, P, H, Wt) -> np.ndarray:
 
 def step_esdc6(problem, t0, y0, h, phis: PhiCache,
                tableau: ESDCTableau) -> np.ndarray:
+    """Exponential-Euler predictor over the three Lobatto substeps, then
+    _ESDC_SWEEPS correction sweeps: 4 + 3 * 6 - 1 = 21 N calls, as the
+    final sweep skips its unused node-3 value."""
     N = problem.nonlinear
     E, D, P, H, Wt = phis.coefficients(_esdc6_coefficients, h, tableau)
     tn = [t0 + h * eta for eta in tableau.nodes]
@@ -243,8 +254,8 @@ def step_esdc6(problem, t0, y0, h, phis: PhiCache,
         Y = E[j] * Y + D[j] * Nval[j]
         Nval.append(N(tn[j + 1], Y))
 
-    for sweep in range(tableau.sweeps):
-        last = sweep == tableau.sweeps - 1
+    for sweep in range(_ESDC_SWEEPS):
+        last = sweep == _ESDC_SWEEPS - 1
         Nold = np.asarray(Nval)
         quad = _esdc6_quadratures(Nold, P, H, Wt)
         Y = y0
@@ -329,9 +340,10 @@ def _imrk4_coefficients(phis: PhiCache, h, tab: ButcherPair) -> tuple:
 
 def step_imrk4(problem, t, y, h, phis: PhiCache,
                tableau: ButcherPair) -> np.ndarray:
-    """Additive RK step: diagonal L solved implicitly, N explicit.
-    All implicit diagonal entries share gamma, so one denominator serves
-    every stage."""
+    """Additive RK step: diagonal L solved implicitly, N explicit.  The
+    implicit stages share the tableau's diagonal entry `tableau.gamma`, so
+    one denominator 1 - h gamma L serves every stage (ZeroDivisionError
+    where it vanishes)."""
     L = problem.L_diag
     N = problem.nonlinear
     denom, stages, weights = phis.coefficients(_imrk4_coefficients, h, tableau)
@@ -483,9 +495,9 @@ def integrate_many(problem, method: MethodSpec, y0: np.ndarray,
     """
     make_method(method.family)      # an unknown family raises ValueError
     t0, t1 = float(t_span[0]), float(t_span[1])
+    if not (t1 > t0) or n_steps % 1 != 0 or n_steps < 1:
+        raise ValueError("need t1 > t0 and a whole n_steps >= 1")
     n_steps = int(n_steps)
-    if not (t1 > t0) or n_steps < 1:
-        raise ValueError("need t1 > t0 and n_steps >= 1")
     y0 = np.asarray(y0, dtype=np.complex128)
     L = problem.L_diag
     if y0.shape != np.shape(L):
@@ -511,6 +523,7 @@ def integrate_many(problem, method: MethodSpec, y0: np.ndarray,
              for mod in mods]
     Ls = [L if dL is None else L + dL for dL, _ in pairs]
     dNs = [dN for _, dN in pairs]
+    row_axis = -1 - y0.ndim     # the run axis of a batch's (block) state
     if len(mods) == 1:      # one run steps its own unstacked arrays
         Ls, dNs, batch = Ls[0], dNs[0], (lambda a: a)
     else:
@@ -518,7 +531,7 @@ def integrate_many(problem, method: MethodSpec, y0: np.ndarray,
         Ls = np.stack(Ls)
         dNs = None if all(dN is None for dN in dNs) else np.stack(
             [np.zeros(y0.shape) if dN is None else dN for dN in dNs])
-        batch = lambda a: np.stack([a] * len(mods), axis=-1 - y0.ndim)
+        batch = lambda a: np.stack([a] * len(mods), axis=row_axis)
 
     samples = [[None] * len(wants) for _ in mods]
     results: list = [None] * len(mods)
@@ -552,17 +565,15 @@ def integrate_many(problem, method: MethodSpec, y0: np.ndarray,
             state = method.step(stepped, ts, state, h, phis, method.tableau)
             ts = ts + h
             if not np.isfinite(state).all():
-                finite = np.isfinite(state)
-                if method.block:
-                    finite = finite.all(axis=0)
-                ok = finite.reshape(len(live), -1).all(axis=1)
+                ok = np.isfinite(state).reshape(
+                    -1, len(live), y0.size).all(axis=(0, 2))
                 for j in np.flatnonzero(~ok):
                     finish(live[j], t, rows(y)[j], blowup_step=m)
                 keep = np.flatnonzero(ok)
                 if keep.size == 0:
                     return results
                 live = [live[j] for j in keep]
-                state = np.take(state, keep, axis=1 if method.block else 0)
+                state = np.take(state, keep, axis=row_axis)
                 Ls = Ls[keep]
                 dNs = None if dNs is None else dNs[keep]
                 stepped = with_diagonals(problem, Ls, dNs)

@@ -82,15 +82,10 @@ def phi_scalar(k: int, z: complex) -> complex:
 
 @dataclass(frozen=True)
 class PhiTable:
-    """phi_0..phi_K evaluated at h * L_diag (values[k] is the phi_k array,
-    shaped like L_diag)."""
-    h: float
-    K: int
+    """phi_0..phi_K evaluated at args = h * L_diag (values[k] is the phi_k
+    array, shaped like L_diag)."""
     args: np.ndarray
     values: np.ndarray
-
-    def phi(self, k: int) -> np.ndarray:
-        return self.values[k]
 
 
 def phi_table(L_diag: np.ndarray, h: float, K: int = 4) -> PhiTable:
@@ -110,7 +105,7 @@ def phi_table(L_diag: np.ndarray, h: float, K: int = 4) -> PhiTable:
     values = _phi_block(args, int(K))
     args.setflags(write=False)
     values.setflags(write=False)
-    return PhiTable(h=h, K=int(K), args=args, values=values)
+    return PhiTable(args=args, values=values)
 
 
 class PhiCache:

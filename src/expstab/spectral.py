@@ -221,7 +221,7 @@ class RepartitionSpec:
                     modes needs a larger rho than 'abs_k3'.
     kind 'identity': D = -1, eps given directly.
 
-    A raw eps may be supplied for any kind (overrides the rho-derived value).
+    Exactly one of rho and a raw eps is given (identity takes eps only).
     """
     kind: str
     rho: Optional[float] = None
@@ -230,15 +230,16 @@ class RepartitionSpec:
     def __post_init__(self):
         if self.kind not in REPARTITION_KINDS:
             raise ValueError("unknown repartition kind: %r" % (self.kind,))
-        if self.epsilon is None:
-            if self.rho is None:
-                raise ValueError("repartition needs rho or a raw epsilon")
-            if self.kind == "identity":
-                raise ValueError("identity repartition needs a raw epsilon")
-            if not 0.0 <= self.rho < math.pi / 2:
-                raise ValueError("rho must lie in [0, pi/2)")
-        elif self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        if (self.rho is None) == (self.epsilon is None):
+            raise ValueError("repartition needs exactly one of rho and a raw "
+                             "epsilon")
+        if self.epsilon is not None:
+            if not 0.0 <= self.epsilon < math.inf:
+                raise ValueError("epsilon must be finite and >= 0")
+        elif self.kind == "identity":
+            raise ValueError("identity repartition needs a raw epsilon")
+        elif not 0.0 <= self.rho < math.pi / 2:
+            raise ValueError("rho must lie in [0, pi/2)")
 
     def describe(self) -> str:
         if self.epsilon is not None:
@@ -297,8 +298,8 @@ class HyperviscositySpec:
     def __post_init__(self):
         if self.m not in (4, 6, 8):
             raise ValueError("hyperviscosity power m must be 4, 6 or 8")
-        if not self.gamma >= 0:
-            raise ValueError("gamma must be >= 0")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be finite and >= 0")
 
     def describe(self) -> str:
         s = "hyperviscosity:m=%d:gamma=%.17g" % (self.m, self.gamma)
@@ -328,7 +329,7 @@ def parse_angle(s: str) -> float:
 
 
 # field names of each modification kind, in positional order
-_FIELDS = {"hyperviscosity": ("m", "gamma", "q"), "identity": ("eps", "rho")}
+_FIELDS = {"hyperviscosity": ("m", "gamma", "q"), "identity": ("eps",)}
 _CASTS = {"m": int, "gamma": float, "q": int, "eps": float, "rho": parse_angle}
 
 
@@ -350,6 +351,8 @@ def parse_modification(s: str):
         key, _, val = field.rpartition("=")
         if key and key not in names:
             raise ValueError("unknown field %r in %r" % (key, s))
+        if (key or name) in vals:
+            raise ValueError("field %r given twice in %r" % (key or name, s))
         vals[key or name] = _CASTS[key or name](val)
     if kind != "hyperviscosity":
         return RepartitionSpec(kind, rho=vals.get("rho"),

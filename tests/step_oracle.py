@@ -39,8 +39,8 @@ def step_esdc6(problem, t0, y0, h, phis, tableau):
         Y[j + 1] = T[j].values[0] * Y[j] + hj * T[j].values[1] * Nval[j]
         Nval[j + 1] = N(t0 + h * eta[j + 1], Y[j + 1])
 
-    for sweep in range(tableau.sweeps):
-        last = sweep == tableau.sweeps - 1
+    for sweep in range(6):
+        last = sweep == 5
         Nold = np.asarray(Nval)
         Nflat = Nold.reshape(4, -1)
         Ynew = [y0, None, None, None]

@@ -536,6 +536,9 @@ class TestMain:
         ("longtime", "n_samples", "30"), ("longtime", "runs", ";"),
         ("converge", "methods", ","), ("converge", "workers", "-3"),
         ("reference", "samples", "inf"), ("reference", "samples", "0.5,nan"),
+        ("stability", "methods", ","), ("stability", "rho", ","),
+        ("reference", "samples", ","), ("converge", "hyperviscosity", "8:inf"),
+        ("solve", "repartition", "abs_k3:0.1:0.5"),
     ]
     BASE = {"solve": {"nx": "32", "steps": "10", "t_end": "0.1"},
             "stability": {"methods": "erk4"},
@@ -582,6 +585,55 @@ class TestMain:
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [
             "config error: Nx must be a power of two >= 32"]
+
+    @pytest.mark.parametrize("command", ["converge", "longtime", "solve"])
+    def test_out_in_missing_directory(self, tmp_path, monkeypatch, capsys,
+                                      command):
+        # refused before the reference or any run, and no directory is made
+        monkeypatch.setenv("EXPSTAB_CACHE_DIR", str(tmp_path / "cache"))
+        flags = dict(self.BASE[command], **(
+            {"n_samples": "5"} if command == "longtime" else {}))
+        argv = [command, "--out", str(tmp_path / "absent" / "out.csv")]
+        for k, v in flags.items():
+            argv += ["--" + k.replace("_", "-"), v]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot write")
+        assert os.listdir(tmp_path) == []
+
+    def test_stability_out_is_a_file(self, tmp_path):
+        out = tmp_path / "maps"
+        out.write_text("keep\n")
+        rc = main(["stability", "--methods", "erk4", "--rho", "0",
+                   "--resolution", "4x3", "--out", str(out)])
+        assert rc == 2
+        assert out.read_text() == "keep\n"
+
+    def test_unknown_problem(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("EXPSTAB_CACHE_DIR", str(tmp_path / "cache"))
+        rc = main(["converge", "--problem", "foo", "--nx", "32", "--t-end",
+                   "1", "--methods", "erk4", "--steps", "10,20",
+                   "--ref-steps", "400", "--workers", "1",
+                   "--out", str(tmp_path / "c.csv")])
+        assert rc == 2
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("problem, runs, ref_steps, rc", [
+        ("kdv", "erk4;erk4:identity:eps=1", "2000", 0),
+        ("zds", "rk4", "4000", 4),      # h = 1: every run blows up
+    ])
+    def test_longtime_exit_code(self, tmp_path, monkeypatch, problem, runs,
+                                ref_steps, rc):
+        monkeypatch.setenv("EXPSTAB_CACHE_DIR", str(tmp_path / "cache"))
+        csv = tmp_path / "lt.csv"
+        t_end, steps = ("0.5", "200") if problem == "kdv" else ("40", "40")
+        assert main(["longtime", "--problem", problem, "--nx", "32",
+                     "--t-end", t_end, "--steps", steps, "--runs", runs,
+                     "--n-samples", "4", "--ref-method", "rk4" if rc else
+                     "imrk4", "--ref-steps", ref_steps, "--workers", "1",
+                     "--out", str(csv)]) == rc
+        lines = csv.read_text().splitlines()
+        assert lines[0] == "method,modification,t,relative_error,status"
+        assert lines[-1].endswith(",blowup" if rc else ",ok")
 
     def test_unknown_method_in_stability(self, tmp_path):
         rc = main(["stability", "--methods", "rk5", "--rho", "0",

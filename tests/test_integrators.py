@@ -13,7 +13,9 @@ from expstab import (
     esdc_tableau,
     imrk_tableau,
     integrate,
+    integrate_many,
     make_method,
+    RepartitionSpec,
 )
 from expstab.integrators import PhiCache, step_epbm5, step_erk4, step_rk4
 
@@ -38,7 +40,14 @@ class TestESDCTableau:
         assert tab.delta[0] == pytest.approx(tab.delta[2], abs=1e-16)
 
     def test_default_sweep_count(self):
-        assert esdc_tableau().sweeps == 6
+        # predictor (4 N calls) and 6 sweeps of 3, the last one skipping
+        # its unused node-3 value: 21 N calls per step
+        calls = []
+        prob = DiagonalProblem(np.array([0.3j]),
+                               lambda t, y: calls.append(t) or 0.1 * y)
+        integrate(prob, make_method("esdc6"), np.array([1.0 + 0j]),
+                  (0.0, 1.0), 1)
+        assert len(calls) == 21
 
     @pytest.mark.parametrize("j", [0, 1, 2])
     @pytest.mark.parametrize("p", [0, 1, 2, 3])
@@ -296,12 +305,29 @@ def test_blowup_reports_a_consistent_time_and_state(family):
 
 
 def test_blowup_during_epbm_startup():
+    # y' = y^2 from 2 blows up at t = 0.5, inside the start-up span of
+    # h = 5: every run, alone or in a 2-row batch, reports step 0 and
+    # hands back (t0, y0)
     prob = DiagonalProblem(L_diag=np.zeros(1, dtype=np.complex128),
                            nonlinear=lambda t, y: y * y)
-    res = integrate(prob, make_method("epbm5"), np.array([2.0 + 0j]),
-                    (0.0, 10.0), 50)
-    assert not res.ok
-    assert np.isfinite(res.y).all()
+    y0 = np.array([2.0 + 0j])
+    for mods in ([None], [None, RepartitionSpec("identity", epsilon=1.0)]):
+        results = integrate_many(prob, make_method("epbm5"), y0, (0.0, 10.0),
+                                 2, mods)
+        assert len(results) == len(mods)
+        for res in results:
+            assert not res.ok and res.blowup_step == 0
+            assert res.t == 0.0 and np.array_equal(res.y, y0)
+
+
+def test_imrk4_singular_stage_solve():
+    # gamma = 1/4, so L = 4/h makes the stage denominator 1 - h gamma L zero
+    h = 0.5
+    prob = DiagonalProblem(L_diag=np.array([4.0 / h + 0j]),
+                           nonlinear=lambda t, y: 0.0 * y)
+    with pytest.raises(ZeroDivisionError):
+        integrate(prob, make_method("imrk4"), np.array([1.0 + 0j]),
+                  (0.0, 1.0), 2)
 
 
 def test_integrate_validation():
@@ -321,12 +347,16 @@ def test_integrate_validation():
     ("short_y0", r"\(31,\).*\(32,\)"),
     ("string_modification", "diagonals"),
     ("hyperviscosity_without_grid", "grid"),
+    ("fractional_steps", "whole"),
 ])
 def test_integrate_rejects_bad_input(case, match):
     import expstab as es
     prob, u0 = es.build_zds(32)
     mod = None
-    if case == "short_y0":
+    n_steps = 10
+    if case == "fractional_steps":
+        n_steps = 2.7
+    elif case == "short_y0":
         u0 = u0[:31]
     elif case == "string_modification":
         mod = "abs_k3:rho=0.1"
@@ -334,7 +364,7 @@ def test_integrate_rejects_bad_input(case, match):
         prob = DiagonalProblem(prob.L_diag, prob.nonlinear)
         mod = es.HyperviscositySpec(4, 1.0)
     with pytest.raises(ValueError, match=match):
-        integrate(prob, make_method("erk4"), u0, (0.0, 1.0), 10,
+        integrate(prob, make_method("erk4"), u0, (0.0, 1.0), n_steps,
                   modification=mod)
 
 

@@ -83,7 +83,7 @@ def test_phi_table_matches_scalar():
     assert table.args.flags.writeable is False
     assert table.values.flags.writeable is False
     for k in range(7):
-        col = table.phi(k)
+        col = table.values[k]
         for j, lam in enumerate(L):
             assert abs(col[j] - phi_scalar(k, h * lam)) <= 1e-13 * max(
                 1.0, abs(col[j]))

@@ -286,11 +286,29 @@ class TestRepartition:
         mod = modified(es.RepartitionSpec("identity", epsilon=8.0), prob, 0.1)
         assert np.allclose(mod.L_diag, prob.L_diag - 8.0, rtol=0, atol=0)
 
+    def test_k2_raw_eps_shift(self):
+        prob, _ = es.build_kdv(64)
+        shift = es.repartition_shift(prob.L_diag,
+                                     es.RepartitionSpec("k2", epsilon=0.5),
+                                     prob.grid)
+        assert np.array_equal(shift, -0.5 * prob.grid.wavenumbers ** 2)
+
+    def test_k2_needs_a_nonzero_operator(self):
+        prob, _ = es.build_kdv(64)
+        with pytest.raises(ValueError, match="nonzero"):
+            es.repartition_shift(np.zeros(64, dtype=np.complex128),
+                                 es.RepartitionSpec("k2", rho=0.1), prob.grid)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             es.RepartitionSpec("fourth_order", rho=0.1)
         with pytest.raises(ValueError):
             es.RepartitionSpec("abs_k3")
+        with pytest.raises(ValueError, match="exactly one"):
+            es.RepartitionSpec("abs_k3", rho=7.0, epsilon=1.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                es.RepartitionSpec("abs_k3", epsilon=bad)
         with pytest.raises(ValueError):
             es.RepartitionSpec("abs_k3", rho=math.pi / 2)
         with pytest.raises(ValueError):
@@ -334,6 +352,9 @@ class TestHyperviscosity:
             es.HyperviscositySpec(5, 1.0)
         with pytest.raises(ValueError):
             es.HyperviscositySpec(4, -1.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                es.HyperviscositySpec(8, bad)
         prob, _ = es.build_zds(64)
         with pytest.raises(ValueError):
             modified(es.HyperviscositySpec(4, 1.0), prob, 0.0)
@@ -381,6 +402,11 @@ class TestParseModification:
         "abs_k3", "bogus:rho=0.1", "k2:two", "k2:foo=1", "k2:0.1:0.2:0.3",
         "hyperviscosity:8", "hyperviscosity:5:1.0", "hyperviscosity:m=8.5:1",
         "hyperviscosity:m=8:q=3", "hyperviscosity:8:1:3:4",
+        # one angle per repartition, each field once, finite values
+        "abs_k3:0.1:0.5", "k2:rho=0.1:eps=0.5", "identity:8:0.3",
+        "identity:rho=0.3", "abs_k3:rho=pi/4:rho=pi/8", "identity:8:eps=9",
+        "hyperviscosity:8:1e10:gamma=1", "hyperviscosity:8:inf",
+        "hyperviscosity:8:nan", "k2:eps=nan", "identity:eps=inf",
     ])
     def test_rejects(self, s):
         with pytest.raises(ValueError):
@@ -388,14 +414,23 @@ class TestParseModification:
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(
-        st.builds(es.RepartitionSpec, st.sampled_from(["abs_k3", "k2"]),
-                  rho=st.floats(0.0, math.pi / 2, exclude_max=True)),
-        st.builds(es.RepartitionSpec,
-                  st.sampled_from(["abs_k3", "k2", "identity"]),
-                  epsilon=st.floats(0.0, 1e300)),
+        st.tuples(st.sampled_from(["abs_k3", "k2", "identity"]),
+                  st.none() | st.floats(0.0, math.pi / 2, exclude_max=True),
+                  st.none() | st.floats(0.0, 1e300)),
         st.builds(es.HyperviscositySpec, st.sampled_from([4, 6, 8]),
                   st.floats(0.0, 1e300), st.integers(0, 8))))
     def test_inverts_describe(self, spec):
+        # rho and eps are drawn independently: both or neither (or identity
+        # with rho) is refused, and every spec that is built round-trips
+        if isinstance(spec, tuple):
+            kind, rho, eps = spec
+            refused = (rho is None) == (eps is None) or (
+                kind == "identity" and eps is None)
+            if refused:
+                with pytest.raises(ValueError):
+                    es.RepartitionSpec(kind, rho=rho, epsilon=eps)
+                return
+            spec = es.RepartitionSpec(kind, rho=rho, epsilon=eps)
         assert es.parse_modification(spec.describe()) == spec
 
     def test_repartition_ignores_dt(self):
