@@ -261,6 +261,15 @@ def _check_methods(methods) -> None:
                               % (m, ", ".join(FAMILIES)))
 
 
+def _check_distinct(what: str, items, show=str) -> None:
+    """ConfigError naming the first item given twice."""
+    seen = set()
+    for item in items:
+        if item in seen:
+            raise ConfigError("duplicate %s: %s" % (what, show(item)))
+        seen.add(item)
+
+
 def _check_workers(workers) -> None:
     if workers < 1:
         raise ConfigError("workers must be >= 1, got %r" % (workers,))
@@ -292,6 +301,7 @@ def run_convergence(problem: str = "zds", nx: int = 128, t_end: float = 40.0,
     if not methods:
         raise ConfigError("need at least one method")
     _check_methods([*methods, ref_method])
+    _check_distinct("method", methods)
     _check_workers(workers)
     if _whole("reference steps", ref_steps) < 10 * max(steps):
         raise ConfigError("reference steps must be >= 10x the largest "
@@ -347,9 +357,7 @@ def run_longtime(problem: str = "kdv", nx: int = 512, t_end: float = 160.0,
     _check_methods([m for m, _ in runs] + [ref_method])
     _check_workers(workers)
     keys = [(m, _mod_describe(mod)) for m, mod in runs]
-    if len(set(keys)) < len(keys):
-        raise ConfigError("duplicate run: %s:%s" % next(
-            k for i, k in enumerate(keys) if k in keys[:i]))
+    _check_distinct("run", keys, "%s:%s".__mod__)
     n_steps = _whole("step count", n_steps)
     n_samples = _whole("sample count", n_samples)
     if n_steps < 1 or n_samples < 1:
@@ -392,11 +400,14 @@ def run_stability_maps(methods: Sequence[str], rhos: Sequence[float],
                        out_dir, resolution=(600, 200), k1_max: float = 60.0,
                        k2_max: Optional[float] = None) -> list:
     """One classified grid CSV per (method, rho).  Every input is checked
-    (ValueError) before the output directory is made."""
+    (ValueError) before the output directory is made; a method or an angle
+    given twice is refused, as its maps would overwrite each other."""
     if not methods or not rhos:
         raise ConfigError("need at least one method and one angle")
     _check_methods(methods)
+    _check_distinct("method", methods)
     angles = [stab.RepartitionAngle(rho) for rho in rhos]
+    _check_distinct("angle", rhos, _fmt)
     n1 = stab.check_resolution(resolution)[0]
     if os.path.exists(out_dir) and not os.path.isdir(out_dir):
         raise ConfigError("output %s is not a directory"

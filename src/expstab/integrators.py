@@ -22,10 +22,14 @@ Euler's phi_0 and h*phi_1; ERK4's Krogstad weights; ESDC6's per-substep
 phi_0, h_j*phi_1 and phi_k stacked over its substeps, so that one weight
 product and one pass give a sweep's three quadratures; EPBM5's phi_k and
 r*eta_j^k stacked over its nodes, so that a pass combines them at once;
-IMRK4's stage denominator and scaled tableau entries.  Each array is
-combined as the per-step form combined it, and stacked products repeat the
-per-node ones elementwise, so every family steps byte-identically to that
-form (tests/step_oracle.py keeps it).
+IMRK4's stage denominator and its tableau scaled by h as one stage matrix.
+Each array is combined as the per-step form combined it, and stacked
+products repeat the per-node ones elementwise, so every family but IMRK4
+steps byte-identically to that form (tests/step_oracle.py keeps it).  IMRK4
+sums each stage's couplings as one matrix-vector product, which rounds
+differently from the per-step form's term-by-term sum: its steps agree with
+that form to within 1e-14 of the state's max-norm (tests/test_step_parity.py
+measures at most 1.5e-15 over three steps).
 """
 from __future__ import annotations
 
@@ -326,16 +330,18 @@ def step_epbm5(problem, t, block, h, phis: PhiCache,
 
 
 def _imrk4_coefficients(phis: PhiCache, h, tab: ButcherPair) -> tuple:
-    """The stage denominator 1 - h gamma L (checked for singularity), each
-    stage's nonzero (h a_ij, lin/nl, j) terms, and the weights' (h b_i, i)."""
+    """The stage denominator 1 - h gamma L (checked for singularity), the
+    (6, 12) stage matrix C of h a_ij, whose columns interleave the implicit
+    (L Y_j, column 2j) and explicit (N_j, column 2j+1) couplings, and the
+    weights h b_i in the same interleaved order."""
     denom = 1.0 - (h * tab.gamma) * phis.L_diag
     if np.any(denom == 0):
         raise ZeroDivisionError("implicit stage solve is singular")
-    stages = [[(h * A[i, j], kind, j) for j in range(i)
-               for kind, A in ((0, tab.A_implicit), (1, tab.A_explicit))
-               if A[i, j] != 0.0] for i in range(1, 6)]
-    weights = [(h * b, i) for i, b in enumerate(tab.b) if b != 0.0]
-    return denom, stages, weights
+    C = np.zeros((6, 12), dtype=np.complex128)
+    C[:, 0::2] = h * np.tril(tab.A_implicit, -1)
+    C[:, 1::2] = h * tab.A_explicit
+    B = np.repeat(h * tab.b, 2).astype(np.complex128)
+    return denom, C, B
 
 
 def step_imrk4(problem, t, y, h, phis: PhiCache,
@@ -343,22 +349,24 @@ def step_imrk4(problem, t, y, h, phis: PhiCache,
     """Additive RK step: diagonal L solved implicitly, N explicit.  The
     implicit stages share the tableau's diagonal entry `tableau.gamma`, so
     one denominator 1 - h gamma L serves every stage (ZeroDivisionError
-    where it vanishes)."""
+    where it vanishes).  L Y_j and N_j fill the rows of one (12, ...)
+    buffer K as the stages produce them, so stage i's coupling sum is the
+    one product C[i, :2i] @ K[:2i], and the update B @ K."""
     L = problem.L_diag
     N = problem.nonlinear
-    denom, stages, weights = phis.coefficients(_imrk4_coefficients, h, tableau)
-    lin = [L * y]
-    nl = [N(t, y)]
-    for i, terms in enumerate(stages, start=1):
-        rhs = y.astype(np.complex128, copy=True)
-        for a, kind, j in terms:
-            rhs += a * (nl if kind else lin)[j]
-        Yi = rhs / denom
-        lin.append(L * Yi)
-        nl.append(N(t + tableau.c[i] * h, Yi))
-    y1 = y.astype(np.complex128, copy=True)
-    for w, i in weights:
-        y1 += w * (lin[i] + nl[i])
+    denom, C, B = phis.coefficients(_imrk4_coefficients, h, tableau)
+    K = np.empty((12,) + y.shape, dtype=np.complex128)
+    Kf = K.reshape(12, -1)
+    np.multiply(L, y, out=K[0])
+    K[1] = N(t, y)
+    for i in range(1, 6):
+        Yi = (C[i, :2 * i] @ Kf[:2 * i]).reshape(y.shape)
+        Yi += y
+        Yi /= denom
+        np.multiply(L, Yi, out=K[2 * i])
+        K[2 * i + 1] = N(t + tableau.c[i] * h, Yi)
+    y1 = (B @ Kf).reshape(y.shape)
+    y1 += y
     return y1
 
 

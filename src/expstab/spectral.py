@@ -5,6 +5,12 @@ wavenumber ordering k_j = dk * (0, 1, .., Nx/2, -Nx/2+1, .., -1): the Nyquist
 slot holds +Nx/2.  Quadratic products are dealiased by the 3/2 rule, which is
 exactly alias-free for the retained band under this ordering (the only alias,
 Nyquist^2, lands on -Nx/2 of the padded grid and is dropped on truncation).
+
+A complex field (ZDS) goes through full complex transforms.  A real field
+(KdV) has a Hermitian spectrum, u_hat(-k) = conj(u_hat(k)), so its products
+are formed from the nonnegative half alone, with real-input transforms of
+half the length; the negative modes of the result are written as the exact
+conjugate mirror of its nonnegative ones.
 """
 from __future__ import annotations
 
@@ -93,6 +99,11 @@ class _Dealias:
         self._high_in = (Ellipsis, slice(h + 1, None))
         self._high_out = (Ellipsis, slice(self.m - (h - 1), None))
         self._slots = np.r_[0:h + 1, self.m - (h - 1):self.m]
+        # the real-field pair: modes 0..h of the m // 2 + 1 half spectrum,
+        # and the negative output slots -(h-1)..-1 as mirrors of h-1..1
+        self._rhalf = self.m // 2 + 1
+        self._band_half = self.band[:h + 1]
+        self._neg = (Ellipsis, slice(h - 1, 0, -1))
 
     def pad(self, u_hat: np.ndarray) -> np.ndarray:
         out = np.zeros(u_hat.shape[:-1] + (self.m,), dtype=np.complex128)
@@ -120,6 +131,35 @@ class _Dealias:
         wh *= self._fwd
         wh *= self.band
         return wh
+
+    # The real-field pair, for a real field (KdV's u), calls the gufuncs
+    # that np.fft.irfft/rfft end in, on the m // 2 + 1 nonnegative modes of
+    # the padded grid, with the same factors as the complex pair.
+    # Precondition: u_hat is Hermitian and its Nyquist slot is 0.  Only
+    # modes 0..h are read, so the negative half is not; a nonzero Nyquist
+    # slot, which the complex pair pads to +h alone, would stand here for
+    # the pair +-h.
+    def to_phys_real(self, u_hat: np.ndarray) -> np.ndarray:
+        """The real field of a Hermitian u_hat on the padded grid."""
+        p = np.zeros(u_hat.shape[:-1] + (self._rhalf,), dtype=np.complex128)
+        p[self._low] = u_hat[self._low]
+        w = _pocketfft().irfft(p, self._inv_fct,
+                               out=np.empty(p.shape[:-1] + (self.m,)))
+        w *= self._inv
+        return w
+
+    def from_phys_real(self, w: np.ndarray) -> np.ndarray:
+        """Retained spectrum of a real field w: modes 0..h from the
+        half-length transform, the negative ones their exact conjugates
+        (so the Nyquist slot, above the band, holds 0)."""
+        wh = _pocketfft().rfft_n_even(
+            w, 1, out=np.empty(w.shape[:-1] + (self._rhalf,), np.complex128))
+        out = np.empty(w.shape[:-1] + (self.nx,), dtype=np.complex128)
+        low = out[self._low]
+        np.multiply(wh[self._low], self._fwd, out=low)
+        low *= self._band_half
+        np.conjugate(low[self._neg], out=out[self._high_in])
+        return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -174,7 +214,13 @@ def build_kdv(nx: int = 512, delta: float = 0.022
 
         u_t = -delta u_xxx - (1/2)(u^2)_x,   u(x, 0) = cos(pi x)
 
-    L = i delta k^3;  N = -(i k / 2) * dealiased_square(u).
+    L = i delta k^3;  N = -(i k / 2) * dealiased_square(u).  u is real, so N
+    squares it on the real-field path of the 3/2-size grid: it reads modes
+    0..Nx/2 of its input and returns an exactly Hermitian spectrum.  Its
+    precondition, a Hermitian input with a zero Nyquist slot, holds for
+    every state a stepper reaches from a real u0 with a zero Nyquist slot:
+    N leaves the Nyquist mode, above the retained band, at 0, and the
+    diagonal L and modifications keep it there.
     """
     nx = _require_power_of_two(nx, 32)
     if not delta > 0:
@@ -186,9 +232,9 @@ def build_kdv(nx: int = 512, delta: float = 0.022
     halfik = -0.5j * k
 
     def nonlinear(t, u_hat):
-        up = d.to_phys(u_hat)
+        up = d.to_phys_real(u_hat)
         up *= up
-        out = d.from_phys(up)
+        out = d.from_phys_real(up)
         return np.multiply(halfik, out, out=out)
 
     u0 = np.zeros(nx, dtype=np.complex128)

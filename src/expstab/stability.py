@@ -15,8 +15,10 @@ Every probe builds that problem as a DiagonalProblem and executes literal
 steps of the method's production stepper, `MethodSpec.step(problem, t, y, h,
 phis, tableau)`, from t=0.  One-step methods are probed by one h=1 step from
 y=1; the block method gets a 5x5 transfer matrix, one composite step of each
-basis block, whose spectral radius (plus a power-boundedness check near 1)
-decides stability.  A (k1, k2) grid is one problem broadcast from a k1
+basis block, whose spectral radius decides stability (`region_grid`
+classifies every method by radius alone; `power_bounded_classification` is
+a separate check of a single matrix's powers, which no grid calls).  A
+(k1, k2) grid is one problem broadcast from a k1
 column and a k2 row: L depends on k1 alone, so its phi tables hold one entry
 per distinct k1 while the state holds one per grid point.
 """

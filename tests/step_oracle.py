@@ -1,9 +1,11 @@
 """Per-step reference forms of the steppers and of the dealiased products.
 
 These are the forms that rebuild every phi combination from the tables on
-each step and evaluate N with out-of-place temporaries.  The library folds
-the combinations into coefficient arrays built once per (method, h) and
-scales its transforms in place; `test_step_parity.py` compares the two.
+each step, sum IMRK4's stage couplings term by term, and evaluate N with
+out-of-place temporaries through the public np.fft calls.  The library folds
+the combinations into coefficient arrays built once per (method, h), sums
+IMRK4's couplings as one stacked product, and scales its transforms in
+place; `test_step_parity.py` compares the two.
 """
 import numpy as np
 
@@ -158,6 +160,21 @@ class Dealias:
         wh = np.fft.fft(w, axis=-1) * self._fwd
         return wh.take(self._slots, axis=-1) * self.band
 
+    def to_phys_real(self, u_hat):
+        """Real field of a Hermitian u_hat with a zero Nyquist slot, from
+        its modes 0..nx/2."""
+        h = self.half
+        p = np.zeros(u_hat.shape[:-1] + (self.m // 2 + 1,),
+                     dtype=np.complex128)
+        p[..., :h + 1] = u_hat[..., :h + 1]
+        return np.fft.irfft(p, n=self.m, axis=-1) * self._inv
+
+    def from_phys_real(self, w):
+        h = self.half
+        wh = np.fft.rfft(w, axis=-1) * self._fwd
+        low = wh[..., :h + 1] * self.band[:h + 1]
+        return np.concatenate([low, np.conj(low[..., h - 1:0:-1])], axis=-1)
+
 
 def zds_nonlinear(nx):
     d = Dealias(nx)
@@ -169,6 +186,17 @@ def zds_nonlinear(nx):
 
 
 def kdv_nonlinear(nx, halfik):
+    """KdV's N on the real-field path: reads modes 0..nx/2 only."""
+    d = Dealias(nx)
+
+    def nonlinear(t, u_hat):
+        up = d.to_phys_real(u_hat)
+        return halfik * d.from_phys_real(up * up)
+    return nonlinear
+
+
+def kdv_nonlinear_complex(nx, halfik):
+    """KdV's N through the complex transforms, as ZDS's N is formed."""
     d = Dealias(nx)
 
     def nonlinear(t, u_hat):

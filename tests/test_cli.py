@@ -284,6 +284,10 @@ class TestRunConvergence:
             run_convergence(methods=["rk5"], steps=[50, 100])
         with pytest.raises(ConfigError, match="at least one method"):
             run_convergence(methods=[], steps=[50, 100])
+        with pytest.raises(ConfigError, match="duplicate method: erk4"):
+            run_convergence(problem="zds", nx=32, t_end=1.0,
+                            methods=["erk4", "rk4", "erk4"], steps=[10, 20],
+                            ref_steps=400)
         with pytest.raises(ConfigError):
             run_convergence(problem="zds", nx=32, t_end=1.0, methods=["erk4"],
                             steps=[50, 100], ref_method="rk4", ref_steps=500)
@@ -427,8 +431,14 @@ def test_run_stability_maps(tmp_path):
                                  dict(resolution=(5, 0)),
                                  dict(methods=["rk5"]),
                                  dict(rhos=[0.0, 2.0]),
-                                 dict(k2_max=float("inf"))],
-                         ids=["n1=0", "n2=0", "method", "rho", "k2_max"])
+                                 dict(k2_max=float("inf")),
+                                 dict(methods=["erk4", "erk4"]),
+                                 dict(rhos=[0.0, 0]),
+                                 dict(rhos=[math.pi / 2048, 0.0,
+                                            math.pi / 2048])],
+                         ids=["n1=0", "n2=0", "method", "rho", "k2_max",
+                              "repeated-method", "repeated-rho-0",
+                              "repeated-rho-pi/2048"])
 def test_run_stability_maps_rejects_before_output(tmp_path, bad):
     kwargs = dict(methods=["erk4"], rhos=[0.0], out_dir=tmp_path / "maps",
                   resolution=(5, 4))
@@ -539,6 +549,9 @@ class TestMain:
         ("stability", "methods", ","), ("stability", "rho", ","),
         ("reference", "samples", ","), ("converge", "hyperviscosity", "8:inf"),
         ("solve", "repartition", "abs_k3:0.1:0.5"),
+        ("converge", "methods", "erk4,erk4"),
+        ("stability", "methods", "erk4,epbm5,erk4"),
+        ("stability", "rho", "0,0.0"), ("stability", "rho", "pi/2048,pi/2048"),
     ]
     BASE = {"solve": {"nx": "32", "steps": "10", "t_end": "0.1"},
             "stability": {"methods": "erk4"},

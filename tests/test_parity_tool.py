@@ -1,0 +1,45 @@
+"""Smoke test of tools/parity.py: a slice of its matrix dumped twice
+compares equal record for record, and a changed value is reported."""
+import importlib.util
+import json
+import os
+
+import pytest
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+TOOL = os.path.join(os.path.dirname(HERE), "tools", "parity.py")
+SLICE = ["run/zds32-t2/erk4", "run/kdv64-t0.5/imrk4", "grid/epbm5/rho=0"]
+
+
+@pytest.fixture(scope="module")
+def parity():
+    spec = importlib.util.spec_from_file_location("parity", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_dump_twice_compares_equal(parity, tmp_path, capsys):
+    for name in ("a", "b"):
+        argv = ["dump", str(tmp_path / name), "--only"] + SLICE
+        assert parity.main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == ["25 records"] * 2
+    assert parity.main(["compare", str(tmp_path / "a"),
+                        str(tmp_path / "b")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "total: 25 bitwise, 0 within rtol 0, 0 moved, 0 missing"
+
+    # one perturbed entry: within a loose rtol, moved under a tight one
+    path = tmp_path / "b" / parity.RECORDS
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    y = records[0]["fields"]["y"]
+    y[0] = "%.17g" % (float(y[0]) * (1 + 1e-12))
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert parity.main(["compare", str(tmp_path / "a"), str(tmp_path / "b"),
+                        "--rtol", "1e-9"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith(
+        "total: 24 bitwise, 1 within rtol 1e-09, 0 moved")
+    assert parity.main(["compare", str(tmp_path / "a"), str(tmp_path / "b"),
+                        "--rtol", "1e-15"]) == 1
+    assert capsys.readouterr().out.startswith("MOVED %s: y differs by"
+                                              % records[0]["id"])

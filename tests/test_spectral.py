@@ -134,13 +134,18 @@ class TestDealiasedProduct:
         assert np.max(np.abs(back - u * d.band)) < 1e-12
 
     def test_real_field_transforms(self):
-        # a conjugate-symmetric spectrum has a real physical field
+        # a conjugate-symmetric spectrum has a real physical field, which
+        # the real-field pair builds from the nonnegative modes alone
         nx = 32
         d = _Dealias(nx)
         x = np.linspace(0, 2 * np.pi, nx, endpoint=False)
         u = np.fft.fft(np.cos(3 * x) + 0.2 * np.sin(5 * x))
         phys = d.to_phys(u)
         assert np.max(np.abs(phys.imag)) < 1e-12
+        real = d.to_phys_real(u)
+        assert np.max(np.abs(real - phys.real)) < 1e-12
+        back = d.from_phys_real(real)
+        assert np.max(np.abs(back - u * d.band)) < 1e-12
 
 
 def test_building_problems_leaves_numpy_fft_unimported():
@@ -204,11 +209,27 @@ class TestBuildKdV:
     def test_nonlinear_preserves_reality(self):
         prob, u0 = es.build_kdv(64)
         n = prob.nonlinear(0.0, u0)
+        # exactly Hermitian: the negative modes mirror the nonnegative ones
+        assert np.array_equal(n[33:], np.conj(n[31:0:-1]))
+        assert n[0].imag == 0 and n[32] == 0
         phys = np.fft.ifft(n)
         assert np.max(np.abs(phys.imag)) < 1e-12
         # -(1/2)(u^2)_x for u = cos(pi x) is (pi/2) sin(2 pi x)
         x = prob.grid.x
         assert np.max(np.abs(phys.real - 0.5 * math.pi * np.sin(2 * math.pi * x))) < 1e-10
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_nonlinear_matches_convolution(self, seed):
+        # N = -(ik/2) (u*u) on a real field with full support below Nyquist
+        nx = 32
+        prob, _ = es.build_kdv(nx)
+        u = rng_spectrum(nx, seed)
+        u[0] = u[0].real
+        u[nx // 2] = 0.0
+        u[nx // 2 + 1:] = np.conj(u[nx // 2 - 1:0:-1])
+        want = -0.5j * prob.grid.wavenumbers * convolution_oracle(nx, u, u)
+        assert np.max(np.abs(prob.nonlinear(0.0, u) - want)) < 1e-12 * max(
+            1.0, np.max(np.abs(want)))
 
     def test_validation(self):
         with pytest.raises(ValueError):
