@@ -510,6 +510,21 @@ class TestMain:
         assert rc == 0
         assert (out / "stability-erk4-rho0.csv").exists()
 
+    def test_stability_overflow_reads_unstable(self, tmp_path):
+        # k2 up to 1e200 overflows the probes of every family alike: the
+        # cells read |R| = inf, class unstable, and the run succeeds
+        out = tmp_path / "maps"
+        rc = main(["stability", "--methods", "epbm5,erk4", "--rho", "0",
+                   "--resolution", "4x4", "--k2-max", "1e200",
+                   "--out", str(out)])
+        assert rc == 0
+        for family in ("epbm5", "erk4"):
+            text = (out / ("stability-%s-rho0.csv" % family)).read_text()
+            rows = [line.split(",") for line in text.splitlines()[1:]]
+            overflowed = [row for row in rows if float(row[1]) > 0]
+            assert len(overflowed) == 12
+            assert all(row[2:] == ["inf", "unstable"] for row in overflowed)
+
     def test_config_file_with_cli_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EXPSTAB_CACHE_DIR", str(tmp_path / "cache"))
         cfg = tmp_path / "run.cfg"

@@ -181,6 +181,163 @@ class TestPowerBoundedClassification:
         with pytest.raises(ValueError):
             power_bounded_classification(np.ones(shape, dtype=complex))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1, math.nan)])
+    def test_rejects_non_finite(self, bad):
+        M = np.eye(3, dtype=complex)
+        M[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            power_bounded_classification(M)
+
+
+@pytest.mark.parametrize("field, k1, k2", [
+    ("k1", math.nan, 0.0), ("k1", math.inf, 0.0), ("k2", 1.0, -math.inf),
+    ("k2", 1.0, math.nan)])
+def test_dahlquist_point_rejects_non_finite(field, k1, k2):
+    with pytest.raises(ValueError, match="DahlquistPoint.%s" % field):
+        DahlquistPoint(k1, k2)
+
+
+# --- spectral radii -------------------------------------------------------------
+#
+# np.linalg.eigvals (LAPACK zgeev) is the independent oracle for the batched
+# QR in `stab._spectral_radii`.
+
+def _eig_radii(stack):
+    return np.abs(np.linalg.eigvals(stack)).max(axis=-1)
+
+
+def _assert_radii_close(stack, rtol=1e-13):
+    got, want = stab._spectral_radii(stack), _eig_radii(stack)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= rtol * want), \
+        np.max(np.abs(got - want) / np.where(want > 0, want, 1.0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_spectral_radii_random_complex(n):
+    rng = np.random.default_rng(n)
+    stack = rng.standard_normal((300, n, n)) \
+        + 1j * rng.standard_normal((300, n, n))
+    _assert_radii_close(stack)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_spectral_radii_real_input(n):
+    rng = np.random.default_rng(10 + n)
+    stack = rng.standard_normal((3, 100, n, n))
+    _assert_radii_close(stack)
+    assert stab._spectral_radii(stack).shape == (3, 100)
+
+
+def test_spectral_radii_structured():
+    rng = np.random.default_rng(7)
+    jordan = [lam * np.eye(n) + np.diag(np.ones(n - 1), 1)
+              for lam in (0.5, 1.0, -2.0 + 1j) for n in (2, 5)]
+    upper = [np.triu(rng.standard_normal((5, 5))) for _ in range(3)]
+    lower = [np.diag([1.0, -2.0, 3.0j, 4.0, -5.0j])
+             + np.tril(rng.standard_normal((5, 5)), -1) for _ in range(3)]
+    rank1 = [np.outer(rng.standard_normal(5) + 1j * rng.standard_normal(5),
+                      rng.standard_normal(5)) for _ in range(3)]
+    rank1 += [epbm_transfer_matrix(EPBM5, DahlquistPoint(k1, 0.0))
+              for k1 in (0.1, 3.8, 22.3, 60.0)]
+    for M in jordan + upper + lower + rank1:
+        _assert_radii_close(M[None].astype(complex))
+    assert np.array_equal(stab._spectral_radii(np.zeros((4, 5, 5))),
+                          np.zeros(4))
+    # Jordan blocks deflate at once: their radius is |lambda| to rounding
+    for M in jordan:
+        assert stab._spectral_radii(M) == pytest.approx(abs(M[0, 0]),
+                                                        rel=1e-15)
+
+
+def test_spectral_radii_cyclic_and_zero_diagonal():
+    # a cyclic shift is unitary with a zero trailing 2 x 2 diagonal, so the
+    # Wilkinson shift stalls on it until the exceptional shifts step in
+    for n in range(2, 7):
+        _assert_radii_close(np.roll(np.eye(n), 1, axis=0)[None])
+    rng = np.random.default_rng(8)
+    stack = rng.standard_normal((40, 5, 5)) + 1j * rng.standard_normal(
+        (40, 5, 5))
+    stack[:, range(5), range(5)] = 0.0
+    _assert_radii_close(stack)
+
+
+@pytest.mark.parametrize("eps", [1e-160, 1e-200])
+def test_spectral_radii_tiny_blocks_beside_unit_coupling(eps):
+    # the eigenvalues are those of two diagonal blocks of size eps, next to
+    # an O(1) coupling that fixes the scale: norms, rotations and shifts
+    # of entries near eps must neither underflow nor stall the iteration
+    rng = np.random.default_rng(9)
+    stack = np.zeros((40, 5, 5), dtype=complex)
+    for rows in (slice(0, 3), slice(3, 5)):
+        shape = (40, rows.stop - rows.start, rows.stop - rows.start)
+        stack[:, rows, rows] = eps * (rng.standard_normal(shape)
+                                      + 1j * rng.standard_normal(shape))
+    stack[:, :3, 3:] = rng.standard_normal((40, 3, 2))
+    _assert_radii_close(stack)
+
+
+def test_spectral_radii_zero_subdiagonal_mid_block():
+    # an unreduced block below an exact zero at H[2, 1]: the QR must iterate
+    # on each block apart, the one on top after the one below converges
+    rng = np.random.default_rng(3)
+    stack = np.triu(rng.standard_normal((50, 6, 6))
+                    + 1j * rng.standard_normal((50, 6, 6)), -1)
+    stack[:, 2, 1] = 0.0
+    stack[:25, 4, 3] = 0.0
+    _assert_radii_close(stack)
+
+
+def test_spectral_radii_non_finite_is_inf():
+    rng = np.random.default_rng(4)
+    stack = rng.standard_normal((6, 5, 5)) + 0j
+    want = _eig_radii(stack)
+    stack[1, 2, 3] = math.nan
+    stack[4, 0, 0] = complex(math.inf, 0.0)
+    got = stab._spectral_radii(stack)
+    assert np.all(np.isinf(got[[1, 4]]))
+    assert np.array_equal(got[[0, 2, 3, 5]],
+                          stab._spectral_radii(stack[[0, 2, 3, 5]]))
+    assert np.all(np.abs(got[[0, 2, 3, 5]] - want[[0, 2, 3, 5]])
+                  <= 1e-13 * want[[0, 2, 3, 5]])
+
+
+def test_spectral_radii_scale_free():
+    # finite entries near the ends of the double range keep their radius
+    rng = np.random.default_rng(5)
+    stack = rng.standard_normal((20, 5, 5)) + 1j * rng.standard_normal(
+        (20, 5, 5))
+    base = stab._spectral_radii(stack)
+    for s in (2.0 ** 1000, 2.0 ** -1000):
+        assert np.array_equal(stab._spectral_radii(stack * s), base * s)
+
+
+def test_spectral_radii_raise_after_30n_sweeps(monkeypatch):
+    # with deflation disabled no sweep count suffices: LinAlgError, as
+    # eigvals raises, and the power check classifies marginal with a warning
+    monkeypatch.setattr(stab, "_negligible",
+                        lambda diag, sub, sup, smlnum: np.zeros(sub.shape,
+                                                                dtype=bool))
+    M = np.diag([1.0, 0.5, 0.25]) + np.diag([1.0, 1.0], -1)
+    with pytest.raises(np.linalg.LinAlgError):
+        stab._spectral_radii(M)
+    with pytest.warns(UserWarning, match="eigenvalue computation failed"):
+        assert power_bounded_classification(M) == "marginal"
+
+
+def test_spectral_radii_bitwise_independent_of_batch():
+    # longer than two chunks: every radius is the same bits whatever its
+    # neighbours and wherever the chunks split the stack
+    k1 = np.linspace(0.1, 60.0, 90)
+    k2 = np.linspace(0.0, 12.0, 100)
+    stack = stab._probe(EPBM5, k1[:, None], k2[None, :], None).reshape(-1, 5, 5)
+    assert len(stack) > 2 * stab._RADII_CHUNK
+    radii = stab._spectral_radii(stack)
+    perm = np.random.default_rng(6).permutation(len(stack))
+    assert np.array_equal(stab._spectral_radii(stack[perm]), radii[perm])
+    assert np.array_equal(stab._spectral_radii(stack[777:]), radii[777:])
+    assert np.all(np.abs(radii - _eig_radii(stack)) <= 1e-13 * radii)
+
 
 # --- region grids ---------------------------------------------------------------
 
@@ -241,6 +398,16 @@ def test_region_grid_epbm_path():
     assert np.isfinite(grid.absR).all()
 
 
+@pytest.mark.parametrize("family", ["epbm5", "erk4"])
+def test_region_grid_overflow_is_unstable(family):
+    # k2 up to 1e200 overflows the probe: non-finite R or transfer matrices
+    # read |R| = inf, classed unstable, for every family alike
+    grid = region_grid(make_method(family), (0.1, 60.0), (0.0, 1e200), (4, 4))
+    assert np.all(grid.absR[:, 1:] == np.inf)
+    assert np.all(grid.classification[:, 1:] == "unstable")
+    assert np.all(np.abs(grid.absR[:, 0] - 1.0) < 1e-12)
+
+
 def test_region_grid_validation():
     with pytest.raises(ValueError):
         region_grid(ERK4, (-1.0, 2.0), (0.0, 1.0), (2, 2))
@@ -261,7 +428,7 @@ def test_region_grid_rejects_non_finite_ranges(k1_range, k2_range):
 
 
 @pytest.mark.parametrize("resolution", [(2.5, 2), (2, 2.0), (2,), (2, 2, 2),
-                                        ("2", 2)])
+                                        ("2", 2), (True, 3), (3, False)])
 def test_region_grid_rejects_non_integer_resolution(resolution):
     with pytest.raises(ValueError, match="resolution"):
         region_grid(ERK4, (0.0, 2.0), (0.0, 1.0), resolution)

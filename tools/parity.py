@@ -11,7 +11,10 @@ significant digits (a lossless round trip):
          and KdV-64 (t = 0.5 and t = 8, h = 0.01), each run alone
          (`integrate`) and as a row of one 6-row batch (`integrate_many`):
          ok, blow-up step, t, the final state and samples at t/2 and t;
-  grids  40x20 `region_grid`s for each family at three angles: |R|.
+  grids  40x20 `region_grid`s for each family at three angles, and one
+         100x100 epbm5 grid over the criterion-6 split window (k1 <= 4,
+         k2 <= 2, rho = pi/12), whose 10000 transfer matrices span more
+         than two chunks of the batched spectral radii: |R|.
 
 Jobs are named `run/<case>/<family>` and `grid/<family>/<angle>`; `--only`
 keeps the jobs matching any of its fnmatch patterns.
@@ -43,6 +46,8 @@ CASES = {"zds32-t2": ("build_zds", 32, 2.0, 10),
          "kdv64-t8": ("build_kdv", 64, 8.0, 800)}
 ANGLES = {"rho=0": 0.0, "rho=pi/64": math.pi / 64, "rho=pi/32": math.pi / 32}
 GRID_SHAPE = (40, 20)
+# (k1 range, k2 range, resolution, angle) of the epbm5 window grid
+WINDOW = ((0.04, 4.0), (0.0, 2.0), (100, 100), math.pi / 12)
 RECORDS = "records.jsonl"
 
 
@@ -66,6 +71,7 @@ def jobs(es) -> list:
         for label in ANGLES:
             out.append(("grid/%s/%s" % (family, label),
                         lambda f=family, a=label: _grid_job(es, f, a)))
+    out.append(("grid/epbm5/window", lambda: _window_job(es)))
     return out
 
 
@@ -112,6 +118,14 @@ def _grid_job(es, family: str, label: str) -> list:
     n1 = GRID_SHAPE[0]
     grid = stab.region_grid(method, (60.0 / n1, 60.0), (0.0, method.k2_band),
                             GRID_SHAPE, stab.RepartitionAngle(ANGLES[label]))
+    return [("absR", {"absR": _floats(grid.absR)})]
+
+
+def _window_job(es) -> list:
+    from expstab import stability as stab
+    k1_range, k2_range, resolution, rho = WINDOW
+    grid = stab.region_grid(es.make_method("epbm5"), k1_range, k2_range,
+                            resolution, stab.RepartitionAngle(rho))
     return [("absR", {"absR": _floats(grid.absR)})]
 
 
