@@ -8,7 +8,10 @@ record per run and per grid to DIR/records.jsonl, every float at 17
 significant digits (a lossless round trip):
 
   runs   6 families x 6 modifications on ZDS-32 (t = 2 and t = 40, h = 0.2)
-         and KdV-64 (t = 0.5 and t = 8, h = 0.01), each run alone
+         and KdV-64 (t = 0.5 and t = 8, h = 0.01), and on short runs at
+         the benchmark's sizes and step sizes: ZDS-128 (t = 1, h = 0.04)
+         and KdV-512 (t = 0.1, h = 160/56000), whose N calls run on the
+         192- and 768-point padded grids.  Each run goes alone
          (`integrate`) and as a row of one 6-row batch (`integrate_many`):
          ok, blow-up step, t, the final state and samples at t/2 and t;
   grids  40x20 `region_grid`s for each family at three angles, and one
@@ -43,7 +46,9 @@ import numpy as np
 CASES = {"zds32-t2": ("build_zds", 32, 2.0, 10),
          "zds32-t40": ("build_zds", 32, 40.0, 200),
          "kdv64-t0.5": ("build_kdv", 64, 0.5, 50),
-         "kdv64-t8": ("build_kdv", 64, 8.0, 800)}
+         "kdv64-t8": ("build_kdv", 64, 8.0, 800),
+         "zds128-t1": ("build_zds", 128, 1.0, 25),
+         "kdv512-t0.1": ("build_kdv", 512, 0.1, 35)}
 ANGLES = {"rho=0": 0.0, "rho=pi/64": math.pi / 64, "rho=pi/32": math.pi / 32}
 GRID_SHAPE = (40, 20)
 # (k1 range, k2 range, resolution, angle) of the epbm5 window grid
