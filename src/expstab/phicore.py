@@ -23,9 +23,11 @@ import numpy as np
 
 __all__ = ["phi_scalar", "phi_table", "PhiTable", "PhiCache"]
 
-# series tiers: 30 terms inside the unit disk, 60 terms out to |z| = 8,
-# phi_0 = exp + forward recurrence beyond (per-level error there is damped
-# by 1/|z| <= 1/8, so no cancellation buildup).
+# phi_0 = exp everywhere.  phi_1..phi_K: series of 30 terms inside the unit
+# disk and of 60 terms out to |z| = 8, the forward recurrence from phi_0
+# beyond (per-level error there is damped by 1/|z| <= 1/8, so no
+# cancellation buildup).  phi_0's own series would cancel for Re z < 0:
+# at z = -7.5 its 60 terms lose 7.9e-11 relative.
 _INNER_RADIUS = 1.0
 _OUTER_RADIUS = 8.0
 _INNER_TERMS = 30
@@ -37,14 +39,14 @@ _INV_FACT = np.array([1.0 / math.factorial(j)
 
 
 def _series(z, kmax, terms):
-    """Horner-evaluated truncated Taylor series, all orders 0..kmax at once."""
-    out = np.empty((kmax + 1,) + z.shape, dtype=np.complex128)
-    for k in range(kmax + 1):
+    """Horner-evaluated truncated Taylor series of phi_1..phi_kmax at once."""
+    out = np.empty((kmax,) + z.shape, dtype=np.complex128)
+    for k in range(1, kmax + 1):
         acc = np.full(z.shape, _INV_FACT[terms - 1 + k], dtype=np.complex128)
         for j in range(terms - 2, -1, -1):
             acc *= z
             acc += _INV_FACT[j + k]
-        out[k] = acc
+        out[k - 1] = acc
     return out
 
 
@@ -52,21 +54,21 @@ def _phi_block(z, kmax):
     """phi_0..phi_kmax at each entry of the complex array z."""
     z = np.ascontiguousarray(z, dtype=np.complex128)
     out = np.empty((kmax + 1,) + z.shape, dtype=np.complex128)
+    out[0] = np.exp(z)
     r = np.abs(z)
     inner = r < _INNER_RADIUS
     outer = ~inner & (r < _OUTER_RADIUS)
     far = r >= _OUTER_RADIUS
     if inner.any():
-        out[:, inner] = _series(z[inner], kmax, _INNER_TERMS)
+        out[1:, inner] = _series(z[inner], kmax, _INNER_TERMS)
     if outer.any():
-        out[:, outer] = _series(z[outer], kmax, _OUTER_TERMS)
+        out[1:, outer] = _series(z[outer], kmax, _OUTER_TERMS)
     if far.any():
         zf = z[far]
-        vals = np.empty((kmax + 1,) + zf.shape, dtype=np.complex128)
-        vals[0] = np.exp(zf)
+        prev = out[0, far]
         for k in range(kmax):
-            vals[k + 1] = (vals[k] - _INV_FACT[k]) / zf
-        out[:, far] = vals
+            prev = (prev - _INV_FACT[k]) / zf
+            out[k + 1, far] = prev
     return out
 
 

@@ -26,6 +26,17 @@ def test_known_values(k, z, expected):
     assert abs(got - expected) <= 5e-13 * max(1.0, abs(expected))
 
 
+@pytest.mark.parametrize("z", [-7.5, -7.9 + 1j])
+def test_phi0_has_no_series_cancellation(z):
+    # inside |z| < 8 with Re z < 0, phi_0's own Taylor series loses ~1e-10
+    # relative to cancellation; phi_0 is e^z in every tier
+    import mpmath
+    with mpmath.workdps(50):
+        expected = complex(mpmath.exp(mpmath.mpc(z)))
+    got = phi_scalar(0, z)
+    assert abs(got - expected) <= 1e-15 * abs(expected)
+
+
 @pytest.mark.parametrize("k", range(9))
 def test_small_argument_limit(k):
     import math
