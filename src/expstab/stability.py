@@ -312,6 +312,11 @@ def _chunk_radii(H: np.ndarray) -> np.ndarray:
     exponent = np.maximum(np.frexp(np.maximum(
         np.abs(H.real), np.abs(H.imag)).max(axis=(0, 1)))[1], -1022)
     H *= np.ldexp(1.0, -exponent)
+    # entries below _SAFMIN beside one near 1 are below smlnum, which the
+    # deflation test treats as zero anyway; left subnormal, they overflow
+    # the reduction's reciprocal 1/s
+    for part in (H.real, H.imag):
+        part[np.abs(part) < _SAFMIN] = 0.0
     _hessenberg(H)
     flat = H.reshape(n * n, b)
     diag, sub, sup = flat[::n + 1], flat[n::n + 1], flat[1::n + 1]

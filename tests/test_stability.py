@@ -250,6 +250,19 @@ def test_spectral_radii_structured():
                                                         rel=1e-15)
 
 
+def test_spectral_radii_with_subnormal_entries():
+    # entries ~1e-313 beside ones: 1/s of a subnormal column overflowed the
+    # Householder step, so the QR iteration saw NaN and raised LinAlgError
+    M = np.diag([1.0, 2e-313, -5e-314, 6e-314, 1e-315]).astype(complex)
+    M[1:, 0] = [1.2e-313 + 8e-314j, 2.1e-313, 1.5e-314j, -1.5e-315]
+    M[0, 1:] = 1.0
+    assert stab._spectral_radii(M) == 1.0
+    # the EPBM5 probe at a subnormal (k1, k2) that hypothesis found
+    grid = region_grid(EPBM5, (2.2250738585e-313, 0.0),
+                       (2.2250738585e-313, 0.0), (1, 1), RepartitionAngle(1.0))
+    assert grid.absR.tolist() == [[1.0]]
+
+
 def test_spectral_radii_cyclic_and_zero_diagonal():
     # a cyclic shift is unitary with a zero trailing 2 x 2 diagonal, so the
     # Wilkinson shift stalls on it until the exceptional shifts step in
