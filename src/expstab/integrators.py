@@ -19,17 +19,21 @@ The phi combinations of a step depend on (L, h) alone, so the steppers fold
 them into coefficient arrays built on the first step of each h and memoized
 on the run's PhiCache (its one memo; the tables are not kept): exponential
 Euler's phi_0 and h*phi_1; ERK4's Krogstad weights; ESDC6's per-substep
-phi_0, h_j*phi_1 and phi_k stacked over its substeps, so that one weight
-product and one pass give a sweep's three quadratures; EPBM5's phi_k and
-r*eta_j^k stacked over its nodes, so that a pass combines them at once;
-IMRK4's stage denominator and its tableau scaled by h as one stage matrix.
-Each array is combined as the per-step form combined it, and stacked
-products repeat the per-node ones elementwise, so every family but IMRK4
-steps byte-identically to that form (tests/step_oracle.py keeps it).  IMRK4
-sums each stage's couplings as one matrix-vector product, which rounds
-differently from the per-step form's term-by-term sum: its steps agree with
-that form to within 1e-14 of the state's max-norm (tests/test_step_parity.py
-measures at most 1.5e-15 over three steps).
+phi_0 and h_j*phi_1, and its quadrature weights folded into the phi_k as
+one (3, 4, ...) stack, so that four products with the node values give a
+sweep's three quadratures; EPBM5's phi_k and r*eta_j^k stacked over its
+nodes, so that a pass combines them at once; IMRK4's stage denominator and
+its tableau scaled by h as one stage matrix.  Exponential Euler, ERK4 and
+EPBM5 combine each array as the per-step form combined it, and their
+stacked products repeat the per-node ones elementwise, so they (and RK4)
+step byte-identically to that form (tests/step_oracle.py keeps it).  Two
+families regroup its sums, and so round differently: ESDC6 applies
+sum_nu W_j[nu, l] phi_(nu+1) to each node value where the per-step form
+applies W_j to the node values first and the phi_k after, and IMRK4 sums
+each stage's couplings as one matrix-vector product where that form sums
+them term by term.  Both agree with it to within 1e-14 of the state's
+max-norm (tests/test_step_parity.py measures at most 1.1e-15 for ESDC6 and
+1.5e-15 for IMRK4 over three steps).
 """
 from __future__ import annotations
 
@@ -216,58 +220,66 @@ def step_erk4(problem, t, y, h, phis: PhiCache, tableau=None) -> np.ndarray:
 
 
 def _esdc6_coefficients(phis: PhiCache, h, tableau: ESDCTableau) -> tuple:
-    """Per substep j of length h_j: E_j = phi_0(h_j L) and D_j = h_j phi_1(h_j
-    L); P[k-1] stacks phi_k(h_j L) over the three substeps, H the h_j, and
-    Wt the rows W_j[nu] of the quadrature weights in (nu, j) order, so one
-    product Wt @ N and one pass over P give all three quadratures of a
-    sweep, each combined as the per-substep form combined it."""
-    hs = [h * d for d in tableau.delta]
-    V = [phis.table(hj).values for hj in hs]
-    E = [v[0].copy() for v in V]
-    D = [hj * v[1] for hj, v in zip(hs, V)]
-    P = np.stack([np.stack([v[k] for v in V]) for k in range(1, 5)])
-    H = np.array(hs).reshape((3,) + (1,) * phis.L_diag.ndim)
-    Wt = np.swapaxes(tableau.weights, 0, 1).reshape(12, 4).astype(np.complex128)
-    return E, D, P, H, Wt
+    """Per substep j of length h_j: E_j = phi_0(h_j L), D_j = h_j phi_1(h_j
+    L), and the quadrature weight stack Q (3, 4, *L.shape),
+
+        Q[j, l] = h_j sum_nu W_j[nu, l] phi_(nu+1)(h_j L)  - [l == j] D_j,
+
+    for j = 1, 2, so that G_j = sum_l Q[j, l] N_l (l over the four nodes) is
+    substep j's quadrature of the old node values less D_j times its own
+    old value.  Substep 0 subtracts nothing: its node-0 value is N(t0, y0)
+    in every sweep, so its new and old values cancel exactly."""
+    E, D, Q = [], [], []
+    for j, d in enumerate(tableau.delta):
+        hj = h * d
+        v = phis.table(hj).values
+        E.append(v[0].copy())
+        D.append(hj * v[1])
+        q = hj * np.tensordot(tableau.weights[j].T, v[1:5], axes=1)
+        if j:
+            q[j] -= D[j]
+        Q.append(q)
+    return E, D, np.stack(Q)
 
 
-def _esdc6_quadratures(Nold, P, H, Wt) -> np.ndarray:
-    """h_j * sum_nu phi_(nu+1)(h_j L) * (W_j @ Nold)[nu] for the three
-    substeps j, accumulated in place: on a stability grid the node values
-    are large, and the (12, ...) product dies with this call."""
-    b = (Wt @ Nold.reshape(4, -1)).reshape((4, 3) + Nold.shape[1:])
-    quad = P[0] * b[0]
-    for k in range(1, 4):
-        quad += P[k] * b[k]
-    return np.multiply(H, quad, out=quad)
+def _esdc6_quadratures(Nold, Q) -> np.ndarray:
+    """G_j = sum_l Q[j, l] N_l for the three substeps j at once (shape (3,
+    *N.shape)), accumulated in place: four products and no larger
+    temporary, which matters on a stability grid's large node values."""
+    G = Q[:, 0] * Nold[0]
+    for l in range(1, 4):
+        G += Q[:, l] * Nold[l]
+    return G
 
 
 def step_esdc6(problem, t0, y0, h, phis: PhiCache,
                tableau: ESDCTableau) -> np.ndarray:
     """Exponential-Euler predictor over the three Lobatto substeps, then
     _ESDC_SWEEPS correction sweeps: 4 + 3 * 6 - 1 = 21 N calls, as the
-    final sweep skips its unused node-3 value."""
+    final sweep skips its unused node-3 value.  A sweep's substep j is
+    Y_(j+1) = E_j Y_j + D_j N_j^new + G_j (substep 0: E_0 y0 + G_0)."""
     N = problem.nonlinear
-    E, D, P, H, Wt = phis.coefficients(_esdc6_coefficients, h, tableau)
+    E, D, Q = phis.coefficients(_esdc6_coefficients, h, tableau)
     tn = [t0 + h * eta for eta in tableau.nodes]
+    e0y = E[0] * y0
 
     # exponential-Euler predictor along the substeps
-    Y = y0
     Nval = [N(t0, y0)]
-    for j in range(3):
+    Y = e0y + D[0] * Nval[0]
+    for j in (1, 2):
+        Nval.append(N(tn[j], Y))
         Y = E[j] * Y + D[j] * Nval[j]
-        Nval.append(N(tn[j + 1], Y))
+    Nval.append(N(tn[3], Y))
 
     for sweep in range(_ESDC_SWEEPS):
-        last = sweep == _ESDC_SWEEPS - 1
-        Nold = np.asarray(Nval)
-        quad = _esdc6_quadratures(Nold, P, H, Wt)
-        Y = y0
-        Nval = [Nold[0]]
-        for j in range(3):
-            Y = E[j] * Y + D[j] * (Nval[j] - Nold[j]) + quad[j]
-            if j < 2 or not last:   # node-3 value of the final sweep is unused
-                Nval.append(N(tn[j + 1], Y))
+        G = _esdc6_quadratures(Nval, Q)
+        Y = e0y + G[0]
+        Nval = Nval[:1]
+        for j in (1, 2):
+            Nval.append(N(tn[j], Y))
+            Y = E[j] * Y + D[j] * Nval[j] + G[j]
+        if sweep < _ESDC_SWEEPS - 1:   # the final sweep's node-3 value is unused
+            Nval.append(N(tn[3], Y))
     return Y
 
 

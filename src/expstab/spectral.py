@@ -87,9 +87,6 @@ class _Dealias:
         self.nx = nx
         self.m = (3 * nx) // 2
         self.half = nx // 2
-        self._fwd = nx / self.m
-        self._inv = self.m / nx
-        self._inv_fct = np.reciprocal(self.m, dtype=np.float64)
         j = np.minimum(np.arange(nx), nx - np.arange(nx))
         self.band = j <= (2 * self.half) // 3
         # last-axis slots of the nx modes on the padded grid, built once:
@@ -102,7 +99,7 @@ class _Dealias:
         # the real-field pair: modes 0..h of the m // 2 + 1 half spectrum,
         # and the negative output slots -(h-1)..-1 as mirrors of h-1..1
         self._rhalf = self.m // 2 + 1
-        self._band_half = self.band[:h + 1]
+        self.band_half = self.band[:h + 1]
         self._neg = (Ellipsis, slice(h - 1, 0, -1))
 
     def pad(self, u_hat: np.ndarray) -> np.ndarray:
@@ -112,52 +109,54 @@ class _Dealias:
         return out
 
     # Both transforms call the pocketfft gufuncs that np.fft.ifft/fft end
-    # in, with the factor `_raw_fft` passes (1/m for the inverse, 1 for the
-    # forward transform): the same C loop without np.fft's per-call Python
-    # set-up, which costs more than the transform at these sizes.  Both then
-    # scale and mask the FFT's own output in place, and the forward one
-    # keeps its nx retained slots before scaling them: the same products,
-    # in the same operand order, as out-of-place scaling of the padded grid,
-    # without its temporaries.
+    # in, without np.fft's per-call Python set-up, which costs more than the
+    # transform at these sizes.  Each passes the whole 3/2-rule scale as the
+    # gufunc's factor, which pocketfft applies inside the transform: 1/nx
+    # for the inverse (1/m of the padded-grid transform times m/nx), which
+    # overwrites its own padded copy, and nx/m for the forward one.  The
+    # forward transform then keeps its nx retained slots and multiplies
+    # them once by `weight`: the band mask by default, or a caller's
+    # precomputed mask times its own factor, so that N scales, masks and
+    # weights its output in one product.
     def to_phys(self, u_hat: np.ndarray) -> np.ndarray:
         p = self.pad(u_hat)
-        w = _pocketfft().ifft(p, self._inv_fct, out=np.empty_like(p))
-        w *= self._inv
-        return w
+        return _pocketfft().ifft(p, 1.0 / self.nx, out=p)
 
-    def from_phys(self, w: np.ndarray) -> np.ndarray:
-        wh = _pocketfft().fft(w, 1, out=np.empty_like(w))
+    def from_phys(self, w: np.ndarray, weight=None) -> np.ndarray:
+        """Retained spectrum of w times `weight` (default: the band mask),
+        an array over the nx slots."""
+        wh = _pocketfft().fft(w, self.nx / self.m, out=np.empty_like(w))
         wh = wh.take(self._slots, axis=-1)
-        wh *= self._fwd
-        wh *= self.band
+        wh *= self.band if weight is None else weight
         return wh
 
     # The real-field pair, for a real field (KdV's u), calls the gufuncs
     # that np.fft.irfft/rfft end in, on the m // 2 + 1 nonnegative modes of
-    # the padded grid, with the same factors as the complex pair.
+    # the padded grid, with the same factors as the complex pair.  The
+    # inverse is handed modes 0..h alone: the gufunc reads a short input
+    # as zero-padded to the m // 2 + 1 modes, which is the 3/2-rule pad.
     # Precondition: u_hat is Hermitian and its Nyquist slot is 0.  Only
     # modes 0..h are read, so the negative half is not; a nonzero Nyquist
     # slot, which the complex pair pads to +h alone, would stand here for
     # the pair +-h.
     def to_phys_real(self, u_hat: np.ndarray) -> np.ndarray:
         """The real field of a Hermitian u_hat on the padded grid."""
-        p = np.zeros(u_hat.shape[:-1] + (self._rhalf,), dtype=np.complex128)
-        p[self._low] = u_hat[self._low]
-        w = _pocketfft().irfft(p, self._inv_fct,
-                               out=np.empty(p.shape[:-1] + (self.m,)))
-        w *= self._inv
-        return w
+        return _pocketfft().irfft(u_hat[self._low], 1.0 / self.nx,
+                                  out=np.empty(u_hat.shape[:-1] + (self.m,)))
 
-    def from_phys_real(self, w: np.ndarray) -> np.ndarray:
-        """Retained spectrum of a real field w: modes 0..h from the
-        half-length transform, the negative ones their exact conjugates
-        (so the Nyquist slot, above the band, holds 0)."""
+    def from_phys_real(self, w: np.ndarray, weight=None) -> np.ndarray:
+        """Retained spectrum of a real field w times `weight`: modes 0..h
+        from the half-length transform, times `weight` over those h + 1
+        slots (default: `band_half`, the band mask there), and the negative
+        ones their exact conjugates (so the Nyquist slot, above the band,
+        holds 0).  The mirror is exact for a weight w(-k) = conj(w(k))."""
         wh = _pocketfft().rfft_n_even(
-            w, 1, out=np.empty(w.shape[:-1] + (self._rhalf,), np.complex128))
+            w, self.nx / self.m,
+            out=np.empty(w.shape[:-1] + (self._rhalf,), np.complex128))
         out = np.empty(w.shape[:-1] + (self.nx,), dtype=np.complex128)
         low = out[self._low]
-        np.multiply(wh[self._low], self._fwd, out=low)
-        low *= self._band_half
+        np.multiply(wh[self._low],
+                    self.band_half if weight is None else weight, out=low)
         np.conjugate(low[self._neg], out=out[self._high_in])
         return out
 
@@ -194,13 +193,13 @@ def build_zds(nx: int = 128) -> tuple[DiagonalProblem, np.ndarray]:
     k = grid.wavenumbers
     L = 1j * k ** 3
     d = _dealias_for(nx)
+    weight = 2j * d.band
 
     def nonlinear(t, u_hat):
         up = d.to_phys(u_hat)
         cube = up * np.conj(up)
         cube *= up
-        out = d.from_phys(cube)
-        return np.multiply(2j, out, out=out)
+        return d.from_phys(cube, weight)
 
     u0 = np.zeros(nx, dtype=np.complex128)
     u0[0] = nx * 1.0
@@ -229,13 +228,12 @@ def build_kdv(nx: int = 512, delta: float = 0.022
     k = grid.wavenumbers
     L = 1j * delta * k ** 3
     d = _dealias_for(nx)
-    halfik = -0.5j * k
+    weight = -0.5j * k[:nx // 2 + 1] * d.band_half
 
     def nonlinear(t, u_hat):
         up = d.to_phys_real(u_hat)
         up *= up
-        out = d.from_phys_real(up)
-        return np.multiply(halfik, out, out=out)
+        return d.from_phys_real(up, weight)
 
     u0 = np.zeros(nx, dtype=np.complex128)
     u0[1] = 0.5 * nx

@@ -2,10 +2,12 @@
 
 These are the forms that rebuild every phi combination from the tables on
 each step, sum IMRK4's stage couplings term by term, and evaluate N with
-out-of-place temporaries through the public np.fft calls.  The library folds
-the combinations into coefficient arrays built once per (method, h), sums
-IMRK4's couplings as one stacked product, and scales its transforms in
-place; `test_step_parity.py` compares the two.
+out-of-place temporaries through the public np.fft calls, scaling and
+masking after each transform.  The library folds the combinations into
+coefficient arrays built once per (method, h), sums ESDC6's quadratures
+through one weight stack and IMRK4's couplings as one stacked product, and
+folds its scales into the transforms and one output weight;
+`test_step_parity.py` compares the two.
 """
 import numpy as np
 

@@ -1,9 +1,15 @@
 """The steppers with their phi combinations folded into coefficients built
-once per (method, h), and N with in-place scaling, against the per-step
-forms kept in `step_oracle`: both problems' N and every family but imrk4
-agree bitwise, single, batched and on a stability grid.  imrk4 sums its
-stage couplings as one stacked product, which rounds differently from the
-oracle's term-by-term sum, so it agrees within IMRK4_RTOL."""
+once per (method, h), and N with its scales folded into the transforms and
+one output weight, against the per-step forms kept in `step_oracle`.
+
+Every family but esdc6 and imrk4 agrees with its oracle bitwise, single,
+batched and on a stability grid.  esdc6 sums each sweep's quadratures
+through one weight stack and imrk4 its stage couplings as one stacked
+product; both round differently from the oracle's term-by-term sums, so
+they agree within REGROUPED_RTOL.  Both problems' N and the inverse
+transforms agree with the oracle's np.fft calls within N_RTOL (the test
+names that say "bitwise" predate the folded scales); the forward
+transforms stay bitwise."""
 import gc
 import math
 import weakref
@@ -32,10 +38,20 @@ def rng_spectrum(shape, seed):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-# max |library - oracle| over max |oracle| for imrk4's three steps below:
-# measured 1.1e-16 (KdV-64), 5.0e-16 (ZDS-32, batched) and 1.5e-15 (the
-# stability grid)
-IMRK4_RTOL = 1e-14
+# max |library - oracle| over max |oracle| after the three steps below,
+# for the families that regroup the oracle's sums: imrk4 measured 1.1e-16
+# (KdV-64), 3.5e-16 (ZDS-32) and 1.5e-15 (the stability grid); esdc6
+# 2.2e-16, 3.0e-16 and 1.1e-15 (single and batched alike)
+REGROUPED = ("esdc6", "imrk4")
+REGROUPED_RTOL = 1e-14
+
+# max |library - oracle| over max |oracle| of N and of the inverse
+# transforms.  The library's inverse transforms apply the 3/2-rule scale
+# as one gufunc factor, 1/nx, where the oracle applies 1/m and then m/nx,
+# and N multiplies its retained slots once by its factor times the band
+# mask.  Measured: ZDS N 4.4e-16, KdV N 4.0e-15 (nx = 512), to_phys
+# 2.0e-16, to_phys_real 1.9e-16, dealiased_product 2.1e-16.
+N_RTOL = 5e-14
 
 
 def hermitian_spectrum(shape, seed):
@@ -54,13 +70,19 @@ def assert_parity(got, want):
     assert np.array_equal(got, want, equal_nan=True)
 
 
-def assert_family_parity(family, got, want):
-    """Bitwise, or for imrk4 within IMRK4_RTOL of the state's max-norm."""
-    if family != "imrk4":
-        return assert_parity(got, want)
+def assert_close(got, want, rtol):
+    """Finite, and within rtol of want's max-norm."""
     assert got.shape == want.shape
     assert np.all(np.isfinite(got)) and np.all(np.isfinite(want))
-    assert np.max(np.abs(got - want)) <= IMRK4_RTOL * np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+def assert_family_parity(family, got, want):
+    """Bitwise, or for REGROUPED families within REGROUPED_RTOL of the
+    state's max-norm."""
+    if family not in REGROUPED:
+        return assert_parity(got, want)
+    assert_close(got, want, REGROUPED_RTOL)
 
 
 # --- N -----------------------------------------------------------------------
@@ -72,19 +94,23 @@ def test_zds_nonlinear_is_bitwise(nx, rows):
     oracle = step_oracle.zds_nonlinear(nx)
     u = rng_spectrum((nx,) if rows is None else (rows, nx), nx)
     for v in (u, u0 if rows is None else np.stack([u0] * rows)):
-        assert np.array_equal(prob.nonlinear(0.0, v), oracle(0.0, v))
+        got = prob.nonlinear(0.0, v)
+        assert_close(got, oracle(0.0, v), N_RTOL)
+        assert np.all(got[..., ~_dealias_for(nx).band] == 0)
 
 
 @pytest.mark.parametrize("nx", [32, 512])
 @pytest.mark.parametrize("rows", [None, 3])
 def test_kdv_nonlinear_is_bitwise(nx, rows):
     # KdV's N takes the real-field path; on Hermitian spectra with a zero
-    # Nyquist slot (every KdV state) it equals the np.fft.irfft/rfft oracle
+    # Nyquist slot (every KdV state) it matches the np.fft.irfft/rfft oracle
     prob, u0 = es.build_kdv(nx)
     oracle = step_oracle.kdv_nonlinear(nx, -0.5j * prob.grid.wavenumbers)
     u = hermitian_spectrum((nx,) if rows is None else (rows, nx), nx + 1)
     for v in (u, u0 if rows is None else np.stack([u0] * rows)):
-        assert np.array_equal(prob.nonlinear(0.0, v), oracle(0.0, v))
+        got = prob.nonlinear(0.0, v)
+        assert_close(got, oracle(0.0, v), N_RTOL)
+        assert np.all(got[..., ~_dealias_for(nx).band] == 0)
 
 
 # max |real path - complex path| over max |complex path|: measured 3.8e-16
@@ -120,20 +146,23 @@ def test_kdv_nonlinear_reads_only_the_nonnegative_half():
 def test_direct_transforms_match_np_fft(nx):
     # _Dealias calls NumPy's private pocketfft gufuncs; the oracle's public
     # np.fft calls end in the same loops (np.fft.irfft/rfft for the
-    # real-field pair).  One _Dealias sees shrinking row counts, as a batch
-    # does when rows leave it.
+    # real-field pair).  The forward transforms agree bitwise: pocketfft
+    # applies their factor nx/m as a final multiply, as the oracle does.
+    # The inverse ones agree within N_RTOL (one factor 1/nx against 1/m
+    # then m/nx).  One _Dealias sees shrinking row counts, as a batch does
+    # when rows leave it.
     d, o = _dealias_for(nx), step_oracle.Dealias(nx)
     for i, shape in enumerate([(5, 3, nx), (3, nx), (2, nx), (1, nx), (nx,)]):
         u = rng_spectrum(shape, 10 * nx + i)
         w = d.to_phys(u)
-        assert_parity(w, o.to_phys(u))
+        assert_close(w, o.to_phys(u), N_RTOL)
         assert_parity(d.from_phys(w), o.from_phys(w))
         w = rng_spectrum(shape[:-1] + (d.m,), 10 * nx + i + 5)
         assert_parity(d.from_phys(w), o.from_phys(w))
         u = hermitian_spectrum(shape, 10 * nx + i)
         w = d.to_phys_real(u)
         assert w.dtype == np.float64
-        assert_parity(w, o.to_phys_real(u))
+        assert_close(w, o.to_phys_real(u), N_RTOL)
         assert_parity(d.from_phys_real(w), o.from_phys_real(w))
         w = w + rng_spectrum(w.shape, 10 * nx + i + 5).real
         assert_parity(d.from_phys_real(w), o.from_phys_real(w))
@@ -145,7 +174,7 @@ def test_dealiased_product_is_bitwise():
     u, v = rng_spectrum((2, nx), 5)
     d = step_oracle.Dealias(nx)
     want = d.from_phys(d.to_phys(u) * d.to_phys(v))
-    assert np.array_equal(es.dealiased_product(grid, u, v), want)
+    assert_close(es.dealiased_product(grid, u, v), want, N_RTOL)
 
 
 # --- steppers ----------------------------------------------------------------
