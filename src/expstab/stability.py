@@ -312,9 +312,11 @@ def _chunk_radii(H: np.ndarray) -> np.ndarray:
     exponent = np.maximum(np.frexp(np.maximum(
         np.abs(H.real), np.abs(H.imag)).max(axis=(0, 1)))[1], -1022)
     H *= np.ldexp(1.0, -exponent)
-    # entries below _SAFMIN beside one near 1 are below smlnum, which the
-    # deflation test treats as zero anyway; left subnormal, they overflow
-    # the reduction's reciprocal 1/s
+    # drop every entry (real and imaginary parts apart) of the scaled
+    # matrix below _SAFMIN, diagonal and superdiagonal included: each is a
+    # change of under 2.3e-308 beside a largest entry of at least 1/2
+    # (unless the whole matrix lies below 2**-1022).  Left subnormal, such
+    # an entry overflows the reduction's reciprocal 1/s.
     for part in (H.real, H.imag):
         part[np.abs(part) < _SAFMIN] = 0.0
     _hessenberg(H)
