@@ -115,19 +115,19 @@ class _Dealias:
     # for the inverse (1/m of the padded-grid transform times m/nx), which
     # overwrites its own padded copy, and nx/m for the forward one.  The
     # forward transform then keeps its nx retained slots and multiplies
-    # them once by `weight`: the band mask by default, or a caller's
-    # precomputed mask times its own factor, so that N scales, masks and
-    # weights its output in one product.
+    # them once by `weight`: the band mask (dealiased_product), or a
+    # caller's precomputed mask times its own factor, so that N scales,
+    # masks and weights its output in one product.
     def to_phys(self, u_hat: np.ndarray) -> np.ndarray:
         p = self.pad(u_hat)
         return _pocketfft().ifft(p, 1.0 / self.nx, out=p)
 
-    def from_phys(self, w: np.ndarray, weight=None) -> np.ndarray:
-        """Retained spectrum of w times `weight` (default: the band mask),
-        an array over the nx slots."""
+    def from_phys(self, w: np.ndarray, weight: np.ndarray) -> np.ndarray:
+        """Retained spectrum of w times `weight`, an array over the nx
+        slots (`band` for the plain dealiased spectrum)."""
         wh = _pocketfft().fft(w, self.nx / self.m, out=np.empty_like(w))
         wh = wh.take(self._slots, axis=-1)
-        wh *= self.band if weight is None else weight
+        wh *= weight
         return wh
 
     # The real-field pair, for a real field (KdV's u), calls the gufuncs
@@ -144,19 +144,20 @@ class _Dealias:
         return _pocketfft().irfft(u_hat[self._low], 1.0 / self.nx,
                                   out=np.empty(u_hat.shape[:-1] + (self.m,)))
 
-    def from_phys_real(self, w: np.ndarray, weight=None) -> np.ndarray:
+    def from_phys_real(self, w: np.ndarray, weight: np.ndarray
+                       ) -> np.ndarray:
         """Retained spectrum of a real field w times `weight`: modes 0..h
         from the half-length transform, times `weight` over those h + 1
-        slots (default: `band_half`, the band mask there), and the negative
-        ones their exact conjugates (so the Nyquist slot, above the band,
-        holds 0).  The mirror is exact for a weight w(-k) = conj(w(k))."""
+        slots (`band_half`, the band mask there, for the plain dealiased
+        spectrum), and the negative ones their exact conjugates (so the
+        Nyquist slot, above the band, holds 0).  The mirror is exact for a
+        weight w(-k) = conj(w(k))."""
         wh = _pocketfft().rfft_n_even(
             w, self.nx / self.m,
             out=np.empty(w.shape[:-1] + (self._rhalf,), np.complex128))
         out = np.empty(w.shape[:-1] + (self.nx,), dtype=np.complex128)
         low = out[self._low]
-        np.multiply(wh[self._low],
-                    self.band_half if weight is None else weight, out=low)
+        np.multiply(wh[self._low], weight, out=low)
         np.conjugate(low[self._neg], out=out[self._high_in])
         return out
 
@@ -175,7 +176,7 @@ def dealiased_product(grid: PeriodicGrid, u_hat: np.ndarray,
                          "modes along the last axis, got shapes %s and %s"
                          % (grid.nx, np.shape(u_hat), np.shape(v_hat)))
     d = _dealias_for(grid.nx)
-    return d.from_phys(d.to_phys(u_hat) * d.to_phys(v_hat))
+    return d.from_phys(d.to_phys(u_hat) * d.to_phys(v_hat), d.band)
 
 
 def build_zds(nx: int = 128) -> tuple[DiagonalProblem, np.ndarray]:

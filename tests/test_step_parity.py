@@ -6,10 +6,11 @@ Every family but esdc6 and imrk4 agrees with its oracle bitwise, single,
 batched and on a stability grid.  esdc6 sums each sweep's quadratures
 through one weight stack and imrk4 its stage couplings as one stacked
 product; both round differently from the oracle's term-by-term sums, so
-they agree within REGROUPED_RTOL.  Both problems' N and the inverse
-transforms agree with the oracle's np.fft calls within N_RTOL (the test
-names that say "bitwise" predate the folded scales); the forward
-transforms stay bitwise."""
+they agree within REGROUPED_RTOL.  Both problems' N, the inverse
+transforms and dealiased_product, which runs the same inverse transform,
+agree with the oracle's np.fft calls within N_RTOL, with exact zeros above
+the band (the test names that say "bitwise" predate the folded scales);
+the forward transforms stay bitwise."""
 import gc
 import math
 import weakref
@@ -156,16 +157,18 @@ def test_direct_transforms_match_np_fft(nx):
         u = rng_spectrum(shape, 10 * nx + i)
         w = d.to_phys(u)
         assert_close(w, o.to_phys(u), N_RTOL)
-        assert_parity(d.from_phys(w), o.from_phys(w))
+        assert_parity(d.from_phys(w, d.band), o.from_phys(w))
         w = rng_spectrum(shape[:-1] + (d.m,), 10 * nx + i + 5)
-        assert_parity(d.from_phys(w), o.from_phys(w))
+        assert_parity(d.from_phys(w, d.band), o.from_phys(w))
         u = hermitian_spectrum(shape, 10 * nx + i)
         w = d.to_phys_real(u)
         assert w.dtype == np.float64
         assert_close(w, o.to_phys_real(u), N_RTOL)
-        assert_parity(d.from_phys_real(w), o.from_phys_real(w))
+        assert_parity(d.from_phys_real(w, d.band_half),
+                      o.from_phys_real(w))
         w = w + rng_spectrum(w.shape, 10 * nx + i + 5).real
-        assert_parity(d.from_phys_real(w), o.from_phys_real(w))
+        assert_parity(d.from_phys_real(w, d.band_half),
+                      o.from_phys_real(w))
 
 
 def test_dealiased_product_is_bitwise():
@@ -174,7 +177,9 @@ def test_dealiased_product_is_bitwise():
     u, v = rng_spectrum((2, nx), 5)
     d = step_oracle.Dealias(nx)
     want = d.from_phys(d.to_phys(u) * d.to_phys(v))
-    assert_close(es.dealiased_product(grid, u, v), want, N_RTOL)
+    got = es.dealiased_product(grid, u, v)
+    assert_close(got, want, N_RTOL)
+    assert np.all(got[..., ~_dealias_for(nx).band] == 0)
 
 
 # --- steppers ----------------------------------------------------------------
