@@ -2,15 +2,19 @@
 
 Spectra use the unnormalized-forward convention (inverse carries 1/Nx) and
 wavenumber ordering k_j = dk * (0, 1, .., Nx/2, -Nx/2+1, .., -1): the Nyquist
-slot holds +Nx/2.  Quadratic products are dealiased by the 3/2 rule, which is
-exactly alias-free for the retained band under this ordering (the only alias,
-Nyquist^2, lands on -Nx/2 of the padded grid and is dropped on truncation).
+slot holds +Nx/2.  Nonlinear terms are kept to the retained two-thirds band
+|j| <= B = floor((2/3)(Nx/2)), and products are formed alias-free on it in
+one of two ways.
 
-A complex field (ZDS) goes through full complex transforms.  A real field
-(KdV) has a Hermitian spectrum, u_hat(-k) = conj(u_hat(k)), so its products
-are formed from the nonnegative half alone, with real-input transforms of
-half the length; the negative modes of the result are written as the exact
-conjugate mirror of its nonnegative ones.
+A complex field (ZDS, and `dealiased_product`) goes through full complex
+transforms on the 3/2-size grid, which is exactly alias-free for the retained
+band whatever the input spectrum (the only alias, Nyquist^2, lands on -Nx/2
+of the padded grid and is dropped on truncation).  A real field (KdV) has a
+Hermitian spectrum, u_hat(-k) = conj(u_hat(k)), so its square is formed from
+modes 0..B alone, with real-input transforms on the Nx-point grid itself:
+3B < Nx, so the square of a field confined to the band folds no mode onto the
+band (Orszag's 2/3 rule).  The negative modes of the result are written as
+the exact conjugate mirror of its nonnegative ones.
 """
 from __future__ import annotations
 
@@ -75,20 +79,24 @@ def _pocketfft():
 
 
 class _Dealias:
-    """3/2-rule pad/truncate machinery with the wavenumber-slot mapping.
+    """The retained band |j| <= B = floor((2/3)(nx/2)) of an nx-mode
+    spectrum, with two alias-free ways to form products on it.
 
-    Products are evaluated on a 3/2-size grid (alias-free), and results are
-    restricted to the retained band |j| <= floor((2/3)(nx/2)): modes above
-    the two-thirds cutoff carry no nonlinear forcing, so the highest third of
-    the spectrum stays dynamically inert.  Spectra lie along the last axis;
-    leading axes (the rows of a batch) are transformed independently."""
+    The complex pair pads to the 3/2-size grid, which makes a quadratic
+    product exact on the band for any input spectrum; the real pair works on
+    the nx-point grid itself and reads only the band of its input.  Results
+    are restricted to the band: modes above the two-thirds cutoff carry no
+    nonlinear forcing, so the highest third of the spectrum stays
+    dynamically inert.  Spectra lie along the last axis; leading axes (the
+    rows of a batch) are transformed independently."""
 
     def __init__(self, nx: int):
         self.nx = nx
         self.m = (3 * nx) // 2
         self.half = nx // 2
         j = np.minimum(np.arange(nx), nx - np.arange(nx))
-        self.band = j <= (2 * self.half) // 3
+        cut = (2 * self.half) // 3
+        self.band = j <= cut
         # last-axis slots of the nx modes on the padded grid, built once:
         # these run on every N call, where a per-call slice costs ~3%
         h = self.half
@@ -96,9 +104,9 @@ class _Dealias:
         self._high_in = (Ellipsis, slice(h + 1, None))
         self._high_out = (Ellipsis, slice(self.m - (h - 1), None))
         self._slots = np.r_[0:h + 1, self.m - (h - 1):self.m]
-        # the real-field pair: modes 0..h of the m // 2 + 1 half spectrum,
-        # and the negative output slots -(h-1)..-1 as mirrors of h-1..1
-        self._rhalf = self.m // 2 + 1
+        # the real pair: modes 0..B in, modes 0..h out, and the negative
+        # output slots -(h-1)..-1 as mirrors of h-1..1
+        self._band_low = (Ellipsis, slice(0, cut + 1))
         self.band_half = self.band[:h + 1]
         self._neg = (Ellipsis, slice(h - 1, 0, -1))
 
@@ -112,9 +120,10 @@ class _Dealias:
     # in, without np.fft's per-call Python set-up, which costs more than the
     # transform at these sizes.  Each passes the whole 3/2-rule scale as the
     # gufunc's factor, which pocketfft applies inside the transform: 1/nx
-    # for the inverse (1/m of the padded-grid transform times m/nx), which
-    # overwrites its own padded copy, and nx/m for the forward one.  The
-    # forward transform then keeps its nx retained slots and multiplies
+    # for the inverse (1/m of the padded-grid transform times m/nx), and
+    # nx/m for the forward one.  Each overwrites its own input, the inverse
+    # its padded copy and the forward one the caller's temporary product.
+    # The forward transform then keeps its nx retained slots and multiplies
     # them once by `weight`: the band mask (dealiased_product), or a
     # caller's precomputed mask times its own factor, so that N scales,
     # masks and weights its output in one product.
@@ -124,40 +133,35 @@ class _Dealias:
 
     def from_phys(self, w: np.ndarray, weight: np.ndarray) -> np.ndarray:
         """Retained spectrum of w times `weight`, an array over the nx
-        slots (`band` for the plain dealiased spectrum)."""
-        wh = _pocketfft().fft(w, self.nx / self.m, out=np.empty_like(w))
+        slots (`band` for the plain dealiased spectrum).  w is overwritten."""
+        wh = _pocketfft().fft(w, self.nx / self.m, out=w)
         wh = wh.take(self._slots, axis=-1)
         wh *= weight
         return wh
 
-    # The real-field pair, for a real field (KdV's u), calls the gufuncs
-    # that np.fft.irfft/rfft end in, on the m // 2 + 1 nonnegative modes of
-    # the padded grid, with the same factors as the complex pair.  The
-    # inverse is handed modes 0..h alone: the gufunc reads a short input
-    # as zero-padded to the m // 2 + 1 modes, which is the 3/2-rule pad.
-    # Precondition: u_hat is Hermitian and its Nyquist slot is 0.  Only
-    # modes 0..h are read, so the negative half is not; a nonzero Nyquist
-    # slot, which the complex pair pads to +h alone, would stand here for
-    # the pair +-h.
+    # The real pair, for a real field (KdV's u), calls the gufuncs that
+    # np.fft.irfft/rfft end in, on the nx-point grid with np.fft's default
+    # factors, 1/nx and 1.  The inverse is handed modes 0..B alone: the
+    # gufunc reads a short input as zero-padded to the nx // 2 + 1 modes,
+    # so the field is that of P_B u, where P_B keeps the band, and nothing
+    # above the band, nor the negative half, is read.  Precondition: u_hat
+    # is Hermitian on the band.  The forward transform writes modes 0..h
+    # straight into the output's nonnegative slots.
     def to_phys_real(self, u_hat: np.ndarray) -> np.ndarray:
-        """The real field of a Hermitian u_hat on the padded grid."""
-        return _pocketfft().irfft(u_hat[self._low], 1.0 / self.nx,
-                                  out=np.empty(u_hat.shape[:-1] + (self.m,)))
+        """The real field of P_B u_hat on the nx-point grid."""
+        return _pocketfft().irfft(u_hat[self._band_low], 1.0 / self.nx,
+                                  out=np.empty(u_hat.shape[:-1] + (self.nx,)))
 
     def from_phys_real(self, w: np.ndarray, weight: np.ndarray
                        ) -> np.ndarray:
-        """Retained spectrum of a real field w times `weight`: modes 0..h
-        from the half-length transform, times `weight` over those h + 1
-        slots (`band_half`, the band mask there, for the plain dealiased
-        spectrum), and the negative ones their exact conjugates (so the
-        Nyquist slot, above the band, holds 0).  The mirror is exact for a
-        weight w(-k) = conj(w(k))."""
-        wh = _pocketfft().rfft_n_even(
-            w, self.nx / self.m,
-            out=np.empty(w.shape[:-1] + (self._rhalf,), np.complex128))
+        """Spectrum of a real nx-point field w times `weight`: modes 0..h
+        times `weight` over those h + 1 slots (`band_half`, the band mask
+        there, for the plain band-limited spectrum), and the negative ones
+        their exact conjugates (so the Nyquist slot, above the band, holds
+        0).  The mirror is exact for a weight w(-k) = conj(w(k))."""
         out = np.empty(w.shape[:-1] + (self.nx,), dtype=np.complex128)
-        low = out[self._low]
-        np.multiply(wh[self._low], weight, out=low)
+        low = _pocketfft().rfft_n_even(w, 1.0, out=out[self._low])
+        low *= weight
         np.conjugate(low[self._neg], out=out[self._high_in])
         return out
 
@@ -214,13 +218,14 @@ def build_kdv(nx: int = 512, delta: float = 0.022
 
         u_t = -delta u_xxx - (1/2)(u^2)_x,   u(x, 0) = cos(pi x)
 
-    L = i delta k^3;  N = -(i k / 2) * dealiased_square(u).  u is real, so N
-    squares it on the real-field path of the 3/2-size grid: it reads modes
-    0..Nx/2 of its input and returns an exactly Hermitian spectrum.  Its
-    precondition, a Hermitian input with a zero Nyquist slot, holds for
-    every state a stepper reaches from a real u0 with a zero Nyquist slot:
-    N leaves the Nyquist mode, above the retained band, at 0, and the
-    diagonal L and modifications keep it there.
+    L = i delta k^3;  N = -(i k / 2) P_B (P_B u)^2, where P_B keeps the
+    retained two-thirds band |j| <= B.  u is real, so N squares it on the
+    real-field path of the Nx-point grid: it reads modes 0..B of its input
+    and returns an exactly Hermitian spectrum, zero above the band.  Every
+    state a stepper reaches from u0 is confined to the band (N's output is,
+    and L and every modification are diagonal), so there P_B u = u and N is
+    the exactly dealiased -(i k / 2) (u^2): on the band, 3B < Nx keeps the
+    square free of aliases without padding.
     """
     nx = _require_power_of_two(nx, 32)
     if not delta > 0:

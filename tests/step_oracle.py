@@ -188,7 +188,9 @@ def zds_nonlinear(nx):
 
 
 def kdv_nonlinear(nx, halfik):
-    """KdV's N on the real-field path: reads modes 0..nx/2 only."""
+    """KdV's N on the real-field path of the 3/2-size grid: reads modes
+    0..nx/2 only, and squares them all (the library squares P_B u on the
+    nx-point grid)."""
     d = Dealias(nx)
 
     def nonlinear(t, u_hat):

@@ -135,15 +135,15 @@ class TestDealiasedProduct:
 
     def test_real_field_transforms(self):
         # a conjugate-symmetric spectrum has a real physical field, which
-        # the real-field pair builds from the nonnegative modes alone
+        # the real-field pair builds on the nx-point grid from the
+        # nonnegative modes of the band alone
         nx = 32
         d = _Dealias(nx)
         x = np.linspace(0, 2 * np.pi, nx, endpoint=False)
-        u = np.fft.fft(np.cos(3 * x) + 0.2 * np.sin(5 * x))
-        phys = d.to_phys(u)
-        assert np.max(np.abs(phys.imag)) < 1e-12
+        field = np.cos(3 * x) + 0.2 * np.sin(5 * x)
+        u = np.fft.fft(field + 0.1 * np.cos(13 * x))   # mode 13 > B = 10
         real = d.to_phys_real(u)
-        assert np.max(np.abs(real - phys.real)) < 1e-12
+        assert np.max(np.abs(real - field)) < 1e-12
         back = d.from_phys_real(real, d.band_half)
         assert np.max(np.abs(back - u * d.band)) < 1e-12
 
@@ -220,14 +220,16 @@ class TestBuildKdV:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_nonlinear_matches_convolution(self, seed):
-        # N = -(ik/2) (u*u) on a real field with full support below Nyquist
+        # N = -(ik/2) P_B (P_B u)^2 on a real field with full support below
+        # Nyquist: the dealiased square of its band P_B u
         nx = 32
         prob, _ = es.build_kdv(nx)
         u = rng_spectrum(nx, seed)
         u[0] = u[0].real
         u[nx // 2] = 0.0
         u[nx // 2 + 1:] = np.conj(u[nx // 2 - 1:0:-1])
-        want = -0.5j * prob.grid.wavenumbers * convolution_oracle(nx, u, u)
+        ub = u * _Dealias(nx).band
+        want = -0.5j * prob.grid.wavenumbers * convolution_oracle(nx, ub, ub)
         assert np.max(np.abs(prob.nonlinear(0.0, u) - want)) < 1e-12 * max(
             1.0, np.max(np.abs(want)))
 

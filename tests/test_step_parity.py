@@ -6,13 +6,18 @@ Every family but esdc6 and imrk4 agrees with its oracle bitwise, single,
 batched and on a stability grid.  esdc6 sums each sweep's quadratures
 through one weight stack and imrk4 its stage couplings as one stacked
 product; both round differently from the oracle's term-by-term sums, so
-they agree within REGROUPED_RTOL.  Both problems' N, the inverse
-transforms and dealiased_product, which runs the same inverse transform,
+they agree within REGROUPED_RTOL.  Both problems' N, the complex inverse
+transform and dealiased_product, which runs the same inverse transform,
 agree with the oracle's np.fft calls within N_RTOL, with exact zeros above
 the band (the test names that say "bitwise" predate the folded scales);
-the forward transforms stay bitwise."""
+the forward transforms and the real pair stay bitwise.  KdV's N squares
+P_B u, the band of its input, on the Nx-point grid; it is checked against
+the oracle's 3/2-rule square of P_B u, and every state a stepper reaches
+from KdV's u0 is checked to lie in the band, where P_B u = u."""
 import gc
+import importlib.util
 import math
+import os
 import weakref
 
 import numpy as np
@@ -46,12 +51,13 @@ def rng_spectrum(shape, seed):
 REGROUPED = ("esdc6", "imrk4")
 REGROUPED_RTOL = 1e-14
 
-# max |library - oracle| over max |oracle| of N and of the inverse
-# transforms.  The library's inverse transforms apply the 3/2-rule scale
-# as one gufunc factor, 1/nx, where the oracle applies 1/m and then m/nx,
-# and N multiplies its retained slots once by its factor times the band
-# mask.  Measured: ZDS N 4.4e-16, KdV N 4.0e-15 (nx = 512), to_phys
-# 2.0e-16, to_phys_real 1.9e-16, dealiased_product 2.1e-16.
+# max |library - oracle| over max |oracle| of N and of the complex inverse
+# transform.  The library's complex inverse transform applies the 3/2-rule
+# scale as one gufunc factor, 1/nx, where the oracle applies 1/m and then
+# m/nx, and N multiplies its retained slots once by its factor times the
+# band mask; KdV's N squares on the nx-point grid, the oracle on the 3/2-size
+# one.  Measured: ZDS N 4.4e-16, KdV N 4.4e-15 (nx = 512, from u0), to_phys
+# 2.0e-16, dealiased_product 2.1e-16.
 N_RTOL = 5e-14
 
 
@@ -63,6 +69,11 @@ def hermitian_spectrum(shape, seed):
     u[..., half] = 0.0
     u[..., half + 1:] = np.conj(u[..., half - 1:0:-1])
     return u
+
+
+def band_of(u):
+    """P_B u: u with the modes above the retained band set to 0."""
+    return u * _dealias_for(u.shape[-1]).band
 
 
 def assert_parity(got, want):
@@ -103,19 +114,19 @@ def test_zds_nonlinear_is_bitwise(nx, rows):
 @pytest.mark.parametrize("nx", [32, 512])
 @pytest.mark.parametrize("rows", [None, 3])
 def test_kdv_nonlinear_is_bitwise(nx, rows):
-    # KdV's N takes the real-field path; on Hermitian spectra with a zero
-    # Nyquist slot (every KdV state) it matches the np.fft.irfft/rfft oracle
+    # KdV's N squares P_B u on the nx-point grid; on Hermitian spectra of
+    # full support it matches the oracle's 3/2-rule square of P_B u
     prob, u0 = es.build_kdv(nx)
     oracle = step_oracle.kdv_nonlinear(nx, -0.5j * prob.grid.wavenumbers)
     u = hermitian_spectrum((nx,) if rows is None else (rows, nx), nx + 1)
     for v in (u, u0 if rows is None else np.stack([u0] * rows)):
         got = prob.nonlinear(0.0, v)
-        assert_close(got, oracle(0.0, v), N_RTOL)
+        assert_close(got, oracle(0.0, band_of(v)), N_RTOL)
         assert np.all(got[..., ~_dealias_for(nx).band] == 0)
 
 
-# max |real path - complex path| over max |complex path|: measured 3.8e-16
-# (nx = 32) to 6.6e-16 (nx = 512, 3 rows)
+# max |real path - complex path| over max |complex path|, both on P_B u:
+# measured 6.6e-16 (nx = 32) to 1.0e-15 (nx = 32, 3 rows)
 KDV_PATHS_RTOL = 1e-14
 
 
@@ -126,7 +137,7 @@ def test_kdv_nonlinear_matches_complex_path(nx, rows):
     halfik = -0.5j * prob.grid.wavenumbers
     u = hermitian_spectrum((nx,) if rows is None else (rows, nx), nx + 2)
     got = prob.nonlinear(0.0, u)
-    want = step_oracle.kdv_nonlinear_complex(nx, halfik)(0.0, u)
+    want = step_oracle.kdv_nonlinear_complex(nx, halfik)(0.0, band_of(u))
     assert np.max(np.abs(got - want)) <= KDV_PATHS_RTOL * np.max(np.abs(want))
     # exactly Hermitian, with a zero Nyquist slot and a real mean
     half = nx // 2
@@ -136,39 +147,98 @@ def test_kdv_nonlinear_matches_complex_path(nx, rows):
 
 
 def test_kdv_nonlinear_reads_only_the_nonnegative_half():
+    # neither the negative half nor the modes above the band are read
     prob, _ = es.build_kdv(64)
     u = hermitian_spectrum((64,), 9)
+    want = prob.nonlinear(0.0, u)
     junk = u.copy()
     junk[33:] = rng_spectrum((31,), 10)
-    assert np.array_equal(prob.nonlinear(0.0, junk), prob.nonlinear(0.0, u))
+    assert np.array_equal(prob.nonlinear(0.0, junk), want)
+    above = _dealias_for(64).band == 0
+    junk[above] = rng_spectrum((int(above.sum()),), 11)
+    assert np.array_equal(prob.nonlinear(0.0, junk), want)
+    assert np.array_equal(prob.nonlinear(0.0, band_of(u)), want)
+
+
+def parity_modifications():
+    """The modifications of tools/parity.py's run matrix."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "tools", "parity.py")
+    spec = importlib.util.spec_from_file_location("parity", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._modifications(es)
+
+
+@pytest.mark.parametrize("nx, h", [(64, 0.01), (512, 160 / 56000)])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_kdv_states_stay_in_the_band(family, nx, h):
+    # KdV's N reads only the band, P_B u; it equals the dealiased square of
+    # u because every state it is handed from u0 holds exact zeros above
+    # the band: each single run and each row of one batch over the parity
+    # modifications, every stage of every step, and the EPBM5 start-up
+    # block.  A row that overflows leaves its batch; N still sees it on its
+    # last step, so only finite rows are checked there.
+    prob, u0 = es.build_kdv(nx)
+    above = ~_dealias_for(nx).band
+    checked = []
+
+    def nonlinear(t, y):
+        rows = y.reshape(-1, nx)
+        rows = rows[np.isfinite(rows).all(axis=1)]
+        assert np.all(rows[:, above] == 0)
+        checked.append(len(rows))
+        return prob.nonlinear(t, y)
+
+    watched = DiagonalProblem(prob.L_diag, nonlinear, prob.grid, prob.name)
+    meth = make_method(family)
+    mods = parity_modifications()
+    n = 4
+    times = [m * h for m in range(n + 1)]
+    with np.errstate(all="ignore"):
+        runs = [integrate(watched, meth, u0, (0.0, n * h), n,
+                          modification=mod, sample_times=times)
+                for mod in mods]
+        runs += integrate_many(watched, meth, u0, (0.0, n * h), n, mods,
+                               sample_times=times)
+    assert sum(checked) >= 2 * len(mods) * n
+    for res in runs:
+        assert np.all(res.y[..., above] == 0)
+        assert all(np.all(s[1][..., above] == 0)
+                   for s in res.samples if s is not None)
+    if meth.block:
+        block = epbm_initialize(prob, u0, 0.0, h, meth.tableau)
+        assert np.all(block[:, above] == 0)
 
 
 @pytest.mark.parametrize("nx", [32, 128, 512])
 def test_direct_transforms_match_np_fft(nx):
     # _Dealias calls NumPy's private pocketfft gufuncs; the oracle's public
-    # np.fft calls end in the same loops (np.fft.irfft/rfft for the
-    # real-field pair).  The forward transforms agree bitwise: pocketfft
-    # applies their factor nx/m as a final multiply, as the oracle does.
-    # The inverse ones agree within N_RTOL (one factor 1/nx against 1/m
-    # then m/nx).  One _Dealias sees shrinking row counts, as a batch does
-    # when rows leave it.
+    # np.fft calls end in the same loops.  The forward transforms agree
+    # bitwise: pocketfft applies their factor nx/m as a final multiply, as
+    # the oracle does.  The complex inverse agrees within N_RTOL (one factor
+    # 1/nx against 1/m then m/nx).  The real pair, on the nx-point grid
+    # with np.fft's own factors, agrees bitwise with np.fft.irfft of P_B u
+    # and np.fft.rfft.  One _Dealias sees shrinking row counts, as a batch
+    # does when rows leave it.  from_phys overwrites its input, so it is
+    # handed copies.
     d, o = _dealias_for(nx), step_oracle.Dealias(nx)
     for i, shape in enumerate([(5, 3, nx), (3, nx), (2, nx), (1, nx), (nx,)]):
         u = rng_spectrum(shape, 10 * nx + i)
         w = d.to_phys(u)
         assert_close(w, o.to_phys(u), N_RTOL)
-        assert_parity(d.from_phys(w, d.band), o.from_phys(w))
+        assert_parity(d.from_phys(w.copy(), d.band), o.from_phys(w))
         w = rng_spectrum(shape[:-1] + (d.m,), 10 * nx + i + 5)
-        assert_parity(d.from_phys(w, d.band), o.from_phys(w))
+        assert_parity(d.from_phys(w.copy(), d.band), o.from_phys(w))
         u = hermitian_spectrum(shape, 10 * nx + i)
         w = d.to_phys_real(u)
         assert w.dtype == np.float64
-        assert_close(w, o.to_phys_real(u), N_RTOL)
-        assert_parity(d.from_phys_real(w, d.band_half),
-                      o.from_phys_real(w))
-        w = w + rng_spectrum(w.shape, 10 * nx + i + 5).real
-        assert_parity(d.from_phys_real(w, d.band_half),
-                      o.from_phys_real(w))
+        assert_parity(w, np.fft.irfft(band_of(u)[..., :nx // 2 + 1], n=nx))
+        for w in (w, w + rng_spectrum(w.shape, 10 * nx + i + 5).real):
+            want = np.fft.rfft(w) * d.band_half
+            mirror = np.conj(want[..., nx // 2 - 1:0:-1])
+            assert_parity(d.from_phys_real(w, d.band_half),
+                          np.concatenate([want, mirror], axis=-1))
 
 
 def test_dealiased_product_is_bitwise():

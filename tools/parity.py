@@ -10,8 +10,8 @@ significant digits (a lossless round trip):
   runs   6 families x 6 modifications on ZDS-32 (t = 2 and t = 40, h = 0.2)
          and KdV-64 (t = 0.5 and t = 8, h = 0.01), and on short runs at
          the benchmark's sizes and step sizes: ZDS-128 (t = 1, h = 0.04)
-         and KdV-512 (t = 0.1, h = 160/56000), whose N calls run on the
-         192- and 768-point padded grids.  Each run goes alone
+         and KdV-512 (t = 0.1, h = 160/56000), whose N calls run on ZDS's
+         192-point padded grid and KdV's 512-point one.  Each run goes alone
          (`integrate`) and as a row of one 6-row batch (`integrate_many`):
          ok, blow-up step, t, the final state and samples at t/2 and t;
   grids  40x20 `region_grid`s for each family at three angles, and one
