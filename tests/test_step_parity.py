@@ -154,7 +154,7 @@ def test_kdv_nonlinear_reads_only_the_nonnegative_half():
     junk = u.copy()
     junk[33:] = rng_spectrum((31,), 10)
     assert np.array_equal(prob.nonlinear(0.0, junk), want)
-    above = _dealias_for(64).band == 0
+    above = ~_dealias_for(64).band
     junk[above] = rng_spectrum((int(above.sum()),), 11)
     assert np.array_equal(prob.nonlinear(0.0, junk), want)
     assert np.array_equal(prob.nonlinear(0.0, band_of(u)), want)
