@@ -23,31 +23,29 @@ import numpy as np
 
 __all__ = ["phi_scalar", "phi_table", "PhiTable", "PhiCache"]
 
-# phi_0 = exp everywhere.  phi_1..phi_K: series of 30 terms inside the unit
-# disk and of 60 terms out to |z| = 8, the forward recurrence from phi_0
-# beyond (per-level error there is damped by 1/|z| <= 1/8, so no
-# cancellation buildup).  phi_0's own series would cancel for Re z < 0:
-# at z = -7.5 its 60 terms lose 7.9e-11 relative.
-_INNER_RADIUS = 1.0
-_OUTER_RADIUS = 8.0
-_INNER_TERMS = 30
-_OUTER_TERMS = 60
+# phi_0 = exp everywhere.  phi_1..phi_K in two regimes: their Taylor
+# series of 60 terms for |z| < 8, all orders in one Horner pass, and the
+# forward recurrence from phi_0 beyond (per-level error there is damped by
+# 1/|z| <= 1/8, so no cancellation buildup).  phi_0's own series would
+# cancel for Re z < 0: at z = -7.5 its 60 terms lose 7.9e-11 relative.
+_SERIES_RADIUS = 8.0
+_SERIES_TERMS = 60
 _MAX_INDEX = 16
 
 _INV_FACT = np.array([1.0 / math.factorial(j)
-                      for j in range(_OUTER_TERMS + _MAX_INDEX + 1)])
+                      for j in range(_SERIES_TERMS + _MAX_INDEX + 1)])
 
 
-def _series(z, kmax, terms):
-    """Horner-evaluated truncated Taylor series of phi_1..phi_kmax at once."""
-    out = np.empty((kmax,) + z.shape, dtype=np.complex128)
-    for k in range(1, kmax + 1):
-        acc = np.full(z.shape, _INV_FACT[terms - 1 + k], dtype=np.complex128)
-        for j in range(terms - 2, -1, -1):
-            acc *= z
-            acc += _INV_FACT[j + k]
-        out[k - 1] = acc
-    return out
+def _series(z, kmax):
+    """phi_1..phi_kmax at each entry of the 1-D array z, from their
+    truncated Taylor series in one Horner pass: row k-1 of the (kmax, n)
+    accumulator holds phi_k, and each pass adds the column 1/(j+k)!."""
+    acc = np.empty((kmax,) + z.shape, dtype=np.complex128)
+    acc[...] = _INV_FACT[_SERIES_TERMS:_SERIES_TERMS + kmax, None]
+    for j in range(_SERIES_TERMS - 2, -1, -1):
+        acc *= z
+        acc += _INV_FACT[j + 1:j + kmax + 1, None]
+    return acc
 
 
 def _phi_block(z, kmax):
@@ -55,14 +53,10 @@ def _phi_block(z, kmax):
     z = np.ascontiguousarray(z, dtype=np.complex128)
     out = np.empty((kmax + 1,) + z.shape, dtype=np.complex128)
     out[0] = np.exp(z)
-    r = np.abs(z)
-    inner = r < _INNER_RADIUS
-    outer = ~inner & (r < _OUTER_RADIUS)
-    far = r >= _OUTER_RADIUS
-    if inner.any():
-        out[1:, inner] = _series(z[inner], kmax, _INNER_TERMS)
-    if outer.any():
-        out[1:, outer] = _series(z[outer], kmax, _OUTER_TERMS)
+    near = np.abs(z) < _SERIES_RADIUS
+    far = ~near
+    if near.any():
+        out[1:, near] = _series(z[near], kmax)
     if far.any():
         zf = z[far]
         prev = out[0, far]
@@ -92,15 +86,16 @@ class PhiTable:
 
 def phi_table(L_diag: np.ndarray, h: float, K: int = 4) -> PhiTable:
     """Build the phi table for a diagonal operator (or a stack of them along
-    leading axes) at step size h."""
+    leading axes) at step size h, which may be negative (a backward step)
+    but not zero."""
     L = np.asarray(L_diag, dtype=np.complex128)
     if L.ndim < 1 or L.size == 0:
         raise ValueError("empty operator diagonal")
     if not np.isfinite(L).all():
         raise ValueError("invalid argument")
     h = float(h)
-    if not (h > 0.0 and math.isfinite(h)):
-        raise ValueError("step size must be positive and finite")
+    if not (h != 0.0 and math.isfinite(h)):
+        raise ValueError("step size must be nonzero and finite")
     if not 4 <= int(K) <= _MAX_INDEX:
         raise ValueError("table order K must be in 4..%d" % _MAX_INDEX)
     args = h * L

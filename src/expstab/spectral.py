@@ -36,10 +36,10 @@ __all__ = [
 
 
 def _require_power_of_two(nx: int, minimum: int) -> int:
-    nx = int(nx)
-    if nx < minimum or nx & (nx - 1) != 0:
+    n = int(nx) if float(nx).is_integer() else 0    # not whole: refused
+    if n < minimum or n & (n - 1) != 0:
         raise ValueError("Nx must be a power of two >= %d" % minimum)
-    return nx
+    return n
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,8 @@ class PeriodicGrid:
 
     def __post_init__(self):
         _require_power_of_two(self.nx, 8)
-        if not self.b > self.a:
-            raise ValueError("need b > a")
+        if not (self.b > self.a and math.isfinite(self.b - self.a)):
+            raise ValueError("need b > a, both finite")
 
     @property
     def dk(self) -> float:
@@ -421,8 +421,8 @@ def spectral_radius_fraction(L_diag: np.ndarray, h: float,
         raise ValueError("empty operator diagonal")
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must lie in (0, 1]")
-    if not h > 0:
-        raise ValueError("h must be positive")
+    if not 0 < h < math.inf:
+        raise ValueError("h must be positive and finite")
     n = L.size
     j = np.arange(n)
     jabs = np.minimum(j, n - j)

@@ -306,7 +306,9 @@ def _chunk_radii(H: np.ndarray) -> np.ndarray:
     overwrites.  Lanes still iterating are H[..., :m], grouped by the bottom
     `hi` of their unreduced block in descending order, so each group sweeps
     its leading (hi+1) x (hi+1) block as one slice; a deflation moves only
-    the lanes that land outside their new group."""
+    the lanes that land outside their new group.  Sweeping every lane full
+    width under a mask gives the same bits on the 600x200 EPBM5 stacks, but
+    took 2.9x as long at rho = 0 and 1.3x as long at rho = pi/2048."""
     n, _, b = H.shape
     # scale each matrix by a power of two (exactly) to entries below 1
     exponent = np.maximum(np.frexp(np.maximum(
@@ -390,7 +392,10 @@ def power_bounded_classification(M: np.ndarray) -> str:
     """Classify a square matrix by spectral radius; near radius 1 also check
     every power M^2..M^10001 as a defective-eigenvalue surrogate (max-norm
     must stay within 10x that of M).  The powers are advanced 64 at a time:
-    the stack M^1..M^64 times M^64 per block."""
+    the stack M^1..M^64 times M^64 per block.  The radius comes from the
+    batched `_spectral_radii`: about 1.3 ms for one 5x5 matrix, against
+    about 12 us for `np.linalg.eigvals`, so a caller with many matrices
+    should take their radii as one stack."""
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
         raise ValueError("need a non-empty square matrix, got shape %s"

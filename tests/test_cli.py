@@ -503,6 +503,23 @@ class TestMain:
                    "--samples", "0.5,soon"])
         assert rc == 2
 
+    def test_reference_prebuilds_what_converge_reads(self, tmp_path,
+                                                     monkeypatch):
+        # `reference` and `converge` each spell out the ZDS reference
+        # defaults; with no flags they must ask for the same cache entry
+        calls = []
+
+        def record(*args):
+            calls.append(args)
+            raise ReferenceFailure("recorded")
+
+        monkeypatch.setattr(cli, "ensure_reference", record)
+        monkeypatch.chdir(tmp_path)
+        assert main(["reference"]) == 3
+        assert main(["converge"]) == 3
+        assert len(calls) == 2
+        assert calls[0] == calls[1]
+
     def test_stability_command(self, tmp_path):
         out = tmp_path / "maps"
         rc = main(["stability", "--methods", "erk4", "--rho", "0",

@@ -348,14 +348,21 @@ def test_integrate_validation():
     ("string_modification", "diagonals"),
     ("hyperviscosity_without_grid", "grid"),
     ("fractional_steps", "whole"),
+    ("infinite_end", "finite"),
+    ("infinite_start", "finite"),
 ])
 def test_integrate_rejects_bad_input(case, match):
     import expstab as es
     prob, u0 = es.build_zds(32)
     mod = None
     n_steps = 10
+    family, t_span = "erk4", (0.0, 1.0)
     if case == "fractional_steps":
         n_steps = 2.7
+    elif case == "infinite_end":    # rk4 builds no phi table to refuse h
+        family, t_span = "rk4", (0.0, math.inf)
+    elif case == "infinite_start":
+        family, t_span = "imrk4", (-math.inf, 1.0)
     elif case == "short_y0":
         u0 = u0[:31]
     elif case == "string_modification":
@@ -364,7 +371,7 @@ def test_integrate_rejects_bad_input(case, match):
         prob = DiagonalProblem(prob.L_diag, prob.nonlinear)
         mod = es.HyperviscositySpec(4, 1.0)
     with pytest.raises(ValueError, match=match):
-        integrate(prob, make_method("erk4"), u0, (0.0, 1.0), n_steps,
+        integrate(prob, make_method(family), u0, t_span, n_steps,
                   modification=mod)
 
 

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 from expstab.phicore import phi_scalar, phi_table
 
 # high-precision values computed independently with mpmath (50 digits),
-# covering every evaluation regime: tiny arguments, both series tiers,
+# covering both evaluation regimes: the series (tiny arguments among them)
 # and the large-argument recurrence on several rays
 KNOWN_VALUES = [
     (3, 1e-7j, 0.16666666666666657 + 4.166666666666665e-09j),
@@ -29,7 +29,7 @@ def test_known_values(k, z, expected):
 @pytest.mark.parametrize("z", [-7.5, -7.9 + 1j])
 def test_phi0_has_no_series_cancellation(z):
     # inside |z| < 8 with Re z < 0, phi_0's own Taylor series loses ~1e-10
-    # relative to cancellation; phi_0 is e^z in every tier
+    # relative to cancellation; phi_0 is e^z in both regimes
     import mpmath
     with mpmath.workdps(50):
         expected = complex(mpmath.exp(mpmath.mpc(z)))
@@ -77,8 +77,10 @@ def test_conjugate_symmetry():
 
 @pytest.mark.parametrize("radius", [1.0, 8.0])
 def test_tier_crossover_continuity(radius):
-    # straddle each evaluation-tier boundary so closely that the function's
-    # own variation is ~1e-13; any larger jump is tier disagreement
+    # straddle |z| = radius so closely that the function's own variation is
+    # ~1e-13; any larger jump is a discontinuity.  At 8 the series meets
+    # the recurrence; |z| = 1 is no boundary, and checks continuity inside
+    # the series
     for ang in np.linspace(0, 2 * np.pi, 12, endpoint=False):
         lo = (radius - 1e-13) * np.exp(1j * ang)
         hi = (radius + 1e-13) * np.exp(1j * ang)
@@ -107,9 +109,9 @@ def test_phi_table_matches_scalar():
 def test_stacked_table_matches_row_tables(rows, n, seed, h):
     # an (R, n) operator gets one table whose rows are the rows' own tables,
     # to rounding: NumPy's vector loops may round a lone element differently,
-    # and the series tiers amplify that as their Horner error does, by the
-    # sum of the term moduli, phi_k(|z|) (up to ~e^8 where Re z < 0 cancels).
-    # Moduli up to ~40 cover all three evaluation tiers.
+    # and the series amplifies that as its Horner error does, by the sum of
+    # the term moduli, phi_k(|z|) (up to ~e^8 where Re z < 0 cancels).
+    # Moduli up to ~40 cover both evaluation regimes.
     rng = np.random.default_rng(seed)
     L = (rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))) \
         * 10.0 ** rng.uniform(-3, 1.3, (rows, n))
@@ -120,6 +122,25 @@ def test_stacked_table_matches_row_tables(rows, n, seed, h):
         want = phi_table(L[r], h).values
         assert np.all(np.abs(table.values[:, r] - want)
                       <= 8 * np.finfo(float).eps * term_sum[:, r])
+
+
+def test_series_matches_per_order_horner():
+    # the one Horner pass over all orders is, row by row, the per-order
+    # Horner loop of the same series, kept here as the reference; NumPy's
+    # vector loops may round an element differently, hence the 4 ulp bound
+    # in units of the term sum phi_k(|z|)
+    from expstab.phicore import _INV_FACT, _SERIES_TERMS, _series
+    rng = np.random.default_rng(3)
+    z = 8.0 * np.sqrt(rng.uniform(size=4000)) \
+        * np.exp(2j * np.pi * rng.uniform(size=4000))
+    got = _series(z, 8)
+    term_sum = _series(np.abs(z).astype(complex), 8).real
+    for k in range(1, 9):
+        want = np.full(z.shape, _INV_FACT[_SERIES_TERMS - 1 + k], dtype=complex)
+        for j in range(_SERIES_TERMS - 2, -1, -1):
+            want = want * z + _INV_FACT[j + k]
+        assert np.all(np.abs(got[k - 1] - want)
+                      <= 4 * np.finfo(float).eps * term_sum[k - 1])
 
 
 @pytest.mark.parametrize("bad", [-1, 9, 17])
@@ -138,7 +159,7 @@ def test_phi_table_validation():
     with pytest.raises(ValueError):
         phi_table(np.array([]), 0.1)
     with pytest.raises(ValueError):
-        phi_table(np.array([1j]), -0.1)
+        phi_table(np.array([1j]), 0.0)
     with pytest.raises(ValueError):
         phi_table(np.array([1j]), 0.1, K=2)
     with pytest.raises(ValueError):
@@ -151,3 +172,13 @@ def test_phi_table_validation():
         phi_table(np.array([[1j], [np.inf]]), 0.1)
     with pytest.raises(ValueError):     # a scalar is not a diagonal
         phi_table(np.array(1j), 0.1)
+
+
+def test_phi_table_negative_step():
+    # a negative h is a backward step: the table at h L, as for any h
+    L = np.array([0.0, 1j * 2.0, -3.0 + 4.0j, 1j * 700.0])
+    table = phi_table(L, -0.05, K=6)
+    for k in range(7):
+        for j, lam in enumerate(L):
+            want = phi_scalar(k, -0.05 * lam)
+            assert abs(table.values[k, j] - want) <= 1e-13 * max(1.0, abs(want))

@@ -69,6 +69,15 @@ class TestPeriodicGrid:
         with pytest.raises(ValueError):
             es.PeriodicGrid(nx=8, a=1.0, b=1.0)
 
+    @pytest.mark.parametrize("nx, a, b", [
+        (8.5, 0.0, 1.0),            # would give 9 points and 9 wavenumbers
+        (8, 0.0, math.inf),         # would give dk = 0 and NaN points
+        (8, -math.inf, 1.0),
+    ])
+    def test_rejects_fractional_size_and_infinite_domain(self, nx, a, b):
+        with pytest.raises(ValueError):
+            es.PeriodicGrid(nx=nx, a=a, b=b)
+
 
 class TestDealiasedProduct:
     @pytest.mark.parametrize("seed", [0, 1])
@@ -192,6 +201,8 @@ class TestBuildZDS:
             es.build_zds(48)
         with pytest.raises(ValueError):
             es.build_zds(16)
+        with pytest.raises(ValueError, match="power of two"):
+            es.build_zds(128.5)
 
 
 class TestBuildKdV:
@@ -238,6 +249,8 @@ class TestBuildKdV:
             es.build_kdv(100)
         with pytest.raises(ValueError):
             es.build_kdv(64, delta=0.0)
+        with pytest.raises(ValueError, match="power of two"):
+            es.build_kdv(512.5)
 
 
 def test_spectral_radius_fraction_anchors():
@@ -256,6 +269,8 @@ def test_spectral_radius_fraction_validation():
         es.spectral_radius_fraction(L, 0.1, 1.5)
     with pytest.raises(ValueError):
         es.spectral_radius_fraction(L, 0.0, 0.5)
+    with pytest.raises(ValueError):
+        es.spectral_radius_fraction(L, math.inf, 0.5)
     with pytest.raises(ValueError):
         es.spectral_radius_fraction(np.array([]), 0.1, 0.5)
 

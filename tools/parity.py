@@ -72,11 +72,14 @@ def jobs(es) -> list:
         for family in es.FAMILIES:
             out.append(("run/%s/%s" % (case, family),
                         lambda c=case, f=family: _run_job(es, c, f)))
+    k1_range = (60.0 / GRID_SHAPE[0], 60.0)
     for family in es.FAMILIES:
-        for label in ANGLES:
+        k2_range = (0.0, es.make_method(family).k2_band)
+        for label, rho in ANGLES.items():
             out.append(("grid/%s/%s" % (family, label),
-                        lambda f=family, a=label: _grid_job(es, f, a)))
-    out.append(("grid/epbm5/window", lambda: _window_job(es)))
+                        lambda f=family, k2=k2_range, a=rho: _grid_job(
+                            es, f, k1_range, k2, GRID_SHAPE, a)))
+    out.append(("grid/epbm5/window", lambda: _grid_job(es, "epbm5", *WINDOW)))
     return out
 
 
@@ -117,19 +120,10 @@ def _run_job(es, case: str, family: str) -> list:
     return records
 
 
-def _grid_job(es, family: str, label: str) -> list:
+def _grid_job(es, family: str, k1_range, k2_range, resolution,
+              rho: float) -> list:
     from expstab import stability as stab
-    method = es.make_method(family)
-    n1 = GRID_SHAPE[0]
-    grid = stab.region_grid(method, (60.0 / n1, 60.0), (0.0, method.k2_band),
-                            GRID_SHAPE, stab.RepartitionAngle(ANGLES[label]))
-    return [("absR", {"absR": _floats(grid.absR)})]
-
-
-def _window_job(es) -> list:
-    from expstab import stability as stab
-    k1_range, k2_range, resolution, rho = WINDOW
-    grid = stab.region_grid(es.make_method("epbm5"), k1_range, k2_range,
+    grid = stab.region_grid(es.make_method(family), k1_range, k2_range,
                             resolution, stab.RepartitionAngle(rho))
     return [("absR", {"absR": _floats(grid.absR)})]
 
