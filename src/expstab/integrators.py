@@ -60,11 +60,27 @@ _ESDC_SWEEPS = 6           # ESDC6 correction sweeps after its predictor
 
 @dataclass
 class DiagonalProblem:
-    """y' = L_diag * y + nonlinear(t, y), with optional grid metadata."""
+    """y' = L_diag * y + nonlinear(t, y), with optional grid metadata.
+
+    A `band` (KdV's B + 1) declares that states are Hermitian and carried by
+    modes 0..band-1: every other mode is their conjugate mirror or zero.
+    Such a problem's `nonlinear` returns the layout it is given, all Nx
+    modes or the band's, and `integrate_many` steps the band alone."""
     L_diag: np.ndarray
     nonlinear: Callable[[float, np.ndarray], np.ndarray]
     grid: object = None       # spectral.PeriodicGrid
     name: str = ""
+    band: Optional[int] = None
+
+
+def _expand(y: np.ndarray, nx: int) -> np.ndarray:
+    """The nx-mode Hermitian spectrum whose modes 0..b-1 are y's b modes:
+    modes -(b-1)..-1 are their conjugates, and the rest zero."""
+    b = y.shape[-1]
+    out = np.zeros(y.shape[:-1] + (nx,), dtype=np.complex128)
+    out[..., :b] = y
+    np.conjugate(y[..., b - 1:0:-1], out=out[..., nx - b + 1:])
+    return out
 
 
 def with_diagonals(problem: DiagonalProblem, L_diag: np.ndarray,
@@ -508,6 +524,11 @@ def integrate_many(problem, method: MethodSpec, y0: np.ndarray,
     that block: a repartitioned problem is the same equation (so its startup
     values are identical), and integrating the damped variant backward to
     the t0 - h node would overflow.
+
+    A problem with a `band` (KdV) steps modes 0..band-1 alone: y0 must be
+    exactly their Hermitian expansion (ValueError before any step), L and
+    each modification's diagonals, computed on the full problem, are cut to
+    the band, and samples and final states are expanded back to Nx modes.
     """
     make_method(method.family)      # an unknown family raises ValueError
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -539,6 +560,18 @@ def integrate_many(problem, method: MethodSpec, y0: np.ndarray,
         sample_at.setdefault(m, []).append(i)
     pairs = [(None, None) if mod is None else mod.diagonals(problem, h)
              for mod in mods]
+    full = np.copy      # a state as it leaves: all of its Nx modes
+    if problem.band is not None:    # step modes 0..band-1 alone
+        nx, band = y0.shape[-1], problem.band
+        if not np.array_equal(y0, _expand(y0[..., :band], nx)):
+            raise ValueError("y0 is not Hermitian and carried by modes "
+                             "0..%d, as the problem's band says" % (band - 1))
+        pairs = [tuple(None if d is None else d[..., :band] for d in pair)
+                 for pair in pairs]
+        y0, L = y0[..., :band], L[..., :band]
+        problem = DiagonalProblem(L, problem.nonlinear, problem.grid,
+                                  problem.name)
+        full = lambda a: _expand(a, nx)
     Ls = [L if dL is None else L + dL for dL, _ in pairs]
     dNs = [dN for _, dN in pairs]
     row_axis = -1 - y0.ndim     # the run axis of a batch's (block) state
@@ -556,12 +589,12 @@ def integrate_many(problem, method: MethodSpec, y0: np.ndarray,
 
     def finish(run, t, y, blowup_step=None):
         results[run] = IntegrationResult(
-            t=t, y=y, ok=blowup_step is None, blowup_step=blowup_step,
+            t=t, y=full(y), ok=blowup_step is None, blowup_step=blowup_step,
             n_steps=n_steps, h=h, samples=samples[run])
 
     for i in sample_at.get(0, ()):
         for run_samples in samples:
-            run_samples[i] = (t0, y0.copy())
+            run_samples[i] = (t0, full(y0))
 
     live = list(range(len(mods)))     # the run of each batch row
 
@@ -598,7 +631,7 @@ def integrate_many(problem, method: MethodSpec, y0: np.ndarray,
                 phis = PhiCache(Ls)
             t, y = (t0 + (m - 1) * h, state[0]) if method.block else (ts, state)
             for i in sample_at.get(m, ()):
-                snap = rows(y).copy()
+                snap = full(rows(y))
                 for j, run in enumerate(live):
                     samples[run][i] = (t, snap[j])
     for j, run in enumerate(live):

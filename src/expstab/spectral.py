@@ -13,8 +13,9 @@ of the padded grid and is dropped on truncation).  A real field (KdV) has a
 Hermitian spectrum, u_hat(-k) = conj(u_hat(k)), so its square is formed from
 modes 0..B alone, with real-input transforms on the Nx-point grid itself:
 3B < Nx, so the square of a field confined to the band folds no mode onto the
-band (Orszag's 2/3 rule).  The negative modes of the result are written as
-the exact conjugate mirror of its nonnegative ones.
+band (Orszag's 2/3 rule).  The result keeps modes 0..B; a caller that
+passed all Nx modes gets them back, the negative ones the exact conjugate
+mirror of the nonnegative ones.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .integrators import DiagonalProblem
+from .integrators import DiagonalProblem, _expand
 
 __all__ = [
     "PeriodicGrid", "RepartitionSpec", "HyperviscositySpec", "build_zds",
@@ -50,7 +51,7 @@ class PeriodicGrid:
     b: float
 
     def __post_init__(self):
-        _require_power_of_two(self.nx, 8)
+        object.__setattr__(self, "nx", _require_power_of_two(self.nx, 8))
         if not (self.b > self.a and math.isfinite(self.b - self.a)):
             raise ValueError("need b > a, both finite")
 
@@ -95,7 +96,7 @@ class _Dealias:
         self.m = (3 * nx) // 2
         self.half = nx // 2
         j = np.minimum(np.arange(nx), nx - np.arange(nx))
-        cut = (2 * self.half) // 3
+        self.cut = cut = (2 * self.half) // 3
         self.band = j <= cut
         # last-axis slots of the nx modes on the padded grid, built once:
         # these run on every N call, where a per-call slice costs ~3%
@@ -104,11 +105,8 @@ class _Dealias:
         self._high_in = (Ellipsis, slice(h + 1, None))
         self._high_out = (Ellipsis, slice(self.m - (h - 1), None))
         self._slots = np.r_[0:h + 1, self.m - (h - 1):self.m]
-        # the real pair: modes 0..B in, modes 0..h out, and the negative
-        # output slots -(h-1)..-1 as mirrors of h-1..1
+        # the real pair: modes 0..B in and out
         self._band_low = (Ellipsis, slice(0, cut + 1))
-        self.band_half = self.band[:h + 1]
-        self._neg = (Ellipsis, slice(h - 1, 0, -1))
 
     def pad(self, u_hat: np.ndarray) -> np.ndarray:
         out = np.zeros(u_hat.shape[:-1] + (self.m,), dtype=np.complex128)
@@ -144,9 +142,8 @@ class _Dealias:
     # factors, 1/nx and 1.  The inverse is handed modes 0..B alone: the
     # gufunc reads a short input as zero-padded to the nx // 2 + 1 modes,
     # so the field is that of P_B u, where P_B keeps the band, and nothing
-    # above the band, nor the negative half, is read.  Precondition: u_hat
-    # is Hermitian on the band.  The forward transform writes modes 0..h
-    # straight into the output's nonnegative slots.
+    # above the band, nor the negative half, is read; u_hat may hold all nx
+    # modes or only 0..B.  Precondition: u_hat is Hermitian on the band.
     def to_phys_real(self, u_hat: np.ndarray) -> np.ndarray:
         """The real field of P_B u_hat on the nx-point grid."""
         return _pocketfft().irfft(u_hat[self._band_low], 1.0 / self.nx,
@@ -154,16 +151,12 @@ class _Dealias:
 
     def from_phys_real(self, w: np.ndarray, weight: np.ndarray
                        ) -> np.ndarray:
-        """Spectrum of a real nx-point field w times `weight`: modes 0..h
-        times `weight` over those h + 1 slots (`band_half`, the band mask
-        there, for the plain band-limited spectrum), and the negative ones
-        their exact conjugates (so the Nyquist slot, above the band, holds
-        0).  The mirror is exact for a weight w(-k) = conj(w(k))."""
-        out = np.empty(w.shape[:-1] + (self.nx,), dtype=np.complex128)
-        low = _pocketfft().rfft_n_even(w, 1.0, out=out[self._low])
-        low *= weight
-        np.conjugate(low[self._neg], out=out[self._high_in])
-        return out
+        """Modes 0..B of a real nx-point field w, times `weight` over those
+        B + 1 slots, as a (..., B + 1) array: the rest of the spectrum of a
+        band-limited result is their conjugate mirror and zeros."""
+        low = _pocketfft().rfft_n_even(w, 1.0, out=np.empty(
+            w.shape[:-1] + (self.half + 1,), dtype=np.complex128))
+        return low[self._band_low] * weight
 
 
 @functools.lru_cache(maxsize=None)
@@ -221,11 +214,15 @@ def build_kdv(nx: int = 512, delta: float = 0.022
     L = i delta k^3;  N = -(i k / 2) P_B (P_B u)^2, where P_B keeps the
     retained two-thirds band |j| <= B.  u is real, so N squares it on the
     real-field path of the Nx-point grid: it reads modes 0..B of its input
-    and returns an exactly Hermitian spectrum, zero above the band.  Every
-    state a stepper reaches from u0 is confined to the band (N's output is,
-    and L and every modification are diagonal), so there P_B u = u and N is
-    the exactly dealiased -(i k / 2) (u^2): on the band, 3B < Nx keeps the
-    square free of aliases without padding.
+    and returns the layout it is given, modes 0..B for a (..., B + 1) input
+    and the exactly Hermitian spectrum, zero above the band, for a full
+    one.  Every state a stepper reaches from u0 is confined to the band
+    (N's output is, and L and every modification are diagonal), so there
+    P_B u = u and N is the exactly dealiased -(i k / 2) (u^2): on the band,
+    3B < Nx keeps the square free of aliases without padding.  The
+    problem's `band` is B + 1: `integrate_many` steps modes 0..B alone,
+    from a u0 that must be their Hermitian expansion, and expands what it
+    returns to Nx modes.
     """
     nx = _require_power_of_two(nx, 32)
     if not delta > 0:
@@ -234,17 +231,19 @@ def build_kdv(nx: int = 512, delta: float = 0.022
     k = grid.wavenumbers
     L = 1j * delta * k ** 3
     d = _dealias_for(nx)
-    weight = -0.5j * k[:nx // 2 + 1] * d.band_half
+    band = d.cut + 1
+    weight = -0.5j * k[:band]
 
     def nonlinear(t, u_hat):
         up = d.to_phys_real(u_hat)
         up *= up
-        return d.from_phys_real(up, weight)
+        out = d.from_phys_real(up, weight)
+        return out if u_hat.shape[-1] == band else _expand(out, nx)
 
     u0 = np.zeros(nx, dtype=np.complex128)
     u0[1] = 0.5 * nx
     u0[-1] = 0.5 * nx
-    return DiagonalProblem(L, nonlinear, grid, "kdv"), u0
+    return DiagonalProblem(L, nonlinear, grid, "kdv", band), u0
 
 
 # --- stabilizing modifications ------------------------------------------------
@@ -350,6 +349,10 @@ class HyperviscositySpec:
             raise ValueError("hyperviscosity power m must be 4, 6 or 8")
         if not 0.0 <= self.gamma < math.inf:
             raise ValueError("gamma must be finite and >= 0")
+        if not (self.q >= 0 and float(self.q).is_integer()):
+            raise ValueError("hyperviscosity order q must be a whole number "
+                             ">= 0")
+        object.__setattr__(self, "q", int(self.q))
 
     def describe(self) -> str:
         s = "hyperviscosity:m=%d:gamma=%.17g" % (self.m, self.gamma)
@@ -419,6 +422,8 @@ def spectral_radius_fraction(L_diag: np.ndarray, h: float,
     L = np.asarray(L_diag)
     if L.ndim != 1 or L.size == 0:
         raise ValueError("empty operator diagonal")
+    if not np.all(np.isfinite(L)):
+        raise ValueError("operator diagonal is not finite")
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must lie in (0, 1]")
     if not 0 < h < math.inf:

@@ -1,6 +1,7 @@
 """Batched stepping: every row of an `integrate_many` batch must reproduce
 its own `integrate` run (time, state, status, blow-up step, step size and
 samples), including rows that blow up while the others keep stepping."""
+import dataclasses
 import math
 
 import numpy as np
@@ -142,6 +143,28 @@ def test_rejects_nonfinite_sample_times_before_any_step(bad, rows):
         integrate_many(prob, make_method("erk4"), u0, (0.0, 1.0), 10,
                        MODS[:rows], sample_times=[0.5, bad])
     assert calls == []
+
+
+@pytest.mark.parametrize("mode, mirror", [(2, False), (40, True)],
+                         ids=["not_hermitian", "above_the_band"])
+def test_rejects_a_kdv_y0_off_its_band_before_any_step(mode, mirror):
+    # KdV-64 steps modes 0..21 alone, so y0 must be their Hermitian
+    # expansion: a mode without its conjugate mirror, or one above the
+    # band (which the full layout would carry along unchanged), is refused
+    base, u0 = es.build_kdv(64)
+    calls = []
+    prob = dataclasses.replace(
+        base, nonlinear=lambda t, y: calls.append(t) or base.nonlinear(t, y))
+    y0 = u0.copy()
+    y0[mode] = 1.0
+    if mirror:
+        y0[-mode] = 1.0
+    for rows in (1, 2):
+        with pytest.raises(ValueError, match="Hermitian"):
+            integrate_many(prob, make_method("erk4"), y0, (0.0, 1.0), 10,
+                           MODS[:rows])
+    assert calls == []
+    assert integrate(prob, make_method("erk4"), u0, (0.0, 1.0), 10).ok
 
 
 @pytest.mark.parametrize("nonlinear", [

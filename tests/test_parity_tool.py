@@ -33,6 +33,7 @@ def test_dump_twice_compares_equal(parity, tmp_path, capsys):
     path = tmp_path / "b" / parity.RECORDS
     records = [json.loads(line) for line in path.read_text().splitlines()]
     y = records[0]["fields"]["y"]
+    scale = max(abs(float(v)) for v in y)
     y[0] = "%.17g" % (float(y[0]) * (1 + 1e-12))
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
     assert parity.main(["compare", str(tmp_path / "a"), str(tmp_path / "b"),
@@ -41,5 +42,16 @@ def test_dump_twice_compares_equal(parity, tmp_path, capsys):
         "total: 24 bitwise, 1 within rtol 1e-09, 0 moved")
     assert parity.main(["compare", str(tmp_path / "a"), str(tmp_path / "b"),
                         "--rtol", "1e-15"]) == 1
-    assert capsys.readouterr().out.startswith("MOVED %s: y differs by"
-                                              % records[0]["id"])
+    moved = capsys.readouterr().out.splitlines()[0]
+    assert moved.startswith("MOVED %s: y differs by" % records[0]["id"])
+    # a moved run also names the scale of the baseline's final state
+    assert moved.endswith("; baseline max|y| %.3g" % scale)
+
+    # a moved grid record has no y, and no scale
+    records[-1]["fields"]["absR"][0] = "2"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert parity.main(["compare", str(tmp_path / "a"), str(tmp_path / "b"),
+                        "--rtol", "1e-9"]) == 1
+    moved = capsys.readouterr().out.splitlines()[0]
+    assert moved.startswith("MOVED %s: absR differs by" % records[-1]["id"])
+    assert "max|y|" not in moved

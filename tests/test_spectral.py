@@ -1,6 +1,7 @@
 """Tests for the pseudo-spectral layer: grid conventions, dealiased products
 against a direct convolution oracle, benchmark problem structure, operator
 modifications, and snapshot files."""
+import importlib.util
 import math
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import expstab as es
-from expstab.integrators import with_diagonals
+from expstab.integrators import _expand, with_diagonals
 from expstab.spectral import _Dealias
 
 
@@ -77,6 +78,14 @@ class TestPeriodicGrid:
     def test_rejects_fractional_size_and_infinite_domain(self, nx, a, b):
         with pytest.raises(ValueError):
             es.PeriodicGrid(nx=nx, a=a, b=b)
+
+    def test_keeps_a_whole_float_size_as_an_int(self):
+        g = es.PeriodicGrid(8.0, 0.0, 1.0)
+        assert type(g.nx) is int and g.nx == 8
+        u = rng_spectrum(8, 4, max_index=2)
+        got = es.dealiased_product(g, u, u)
+        assert got.shape == (8,)
+        assert np.max(np.abs(got - convolution_oracle(8, u, u))) < 1e-12
 
 
 class TestDealiasedProduct:
@@ -153,8 +162,9 @@ class TestDealiasedProduct:
         u = np.fft.fft(field + 0.1 * np.cos(13 * x))   # mode 13 > B = 10
         real = d.to_phys_real(u)
         assert np.max(np.abs(real - field)) < 1e-12
-        back = d.from_phys_real(real, d.band_half)
-        assert np.max(np.abs(back - u * d.band)) < 1e-12
+        back = d.from_phys_real(real, 1.0)     # modes 0..B alone
+        assert back.shape == (d.cut + 1,)
+        assert np.max(np.abs(_expand(back, nx) - u * d.band)) < 1e-12
 
 
 def test_building_problems_leaves_numpy_fft_unimported():
@@ -273,6 +283,9 @@ def test_spectral_radius_fraction_validation():
         es.spectral_radius_fraction(L, math.inf, 0.5)
     with pytest.raises(ValueError):
         es.spectral_radius_fraction(np.array([]), 0.1, 0.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            es.spectral_radius_fraction(np.array([1j, bad, 2j, 3j]), 0.1, 1.0)
 
 
 # --- repartitioning -------------------------------------------------------------
@@ -396,6 +409,12 @@ class TestHyperviscosity:
         prob, _ = es.build_zds(64)
         with pytest.raises(ValueError):
             modified(es.HyperviscositySpec(4, 1.0), prob, 0.0)
+        # q, the extra powers of dt, is a whole number >= 0: describe()
+        # writes it with %d
+        for bad in (2.5, -3, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="whole number"):
+                es.HyperviscositySpec(8, 1e10, q=bad)
+        assert type(es.HyperviscositySpec(8, 1e10, q=2.0).q) is int
 
     def test_describe(self):
         assert es.HyperviscositySpec(8, 1e10).describe() \
@@ -470,6 +489,31 @@ class TestParseModification:
                 return
             spec = es.RepartitionSpec(kind, rho=rho, epsilon=eps)
         assert es.parse_modification(spec.describe()) == spec
+
+    def test_inverts_describe_of_the_modifications_in_use(self, monkeypatch):
+        # every modification of the parity matrix and of the benchmark's
+        # workloads, read from their files
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        modules = {}
+        for name, rel in (("parity", "tools/parity.py"),
+                          ("workloads", "perfbench/workloads.py")):
+            spec = importlib.util.spec_from_file_location(
+                name, os.path.join(root, rel))
+            modules[name] = importlib.util.module_from_spec(spec)
+            # workloads.py defines dataclasses, which look their module up
+            monkeypatch.setitem(sys.modules, name, modules[name])
+            spec.loader.exec_module(modules[name])
+        mods = modules["parity"]._modifications(es)
+        for workload in (modules["workloads"].ZdsLadder(),
+                         modules["workloads"].KdvLongtime()):
+            workload.setup()
+            runs = workload.runs
+            mods += [mod for _, mod in (runs.values() if isinstance(
+                runs, dict) else runs)]
+        mods = {mod for mod in mods if mod is not None}
+        assert len(mods) == 7
+        for mod in mods:
+            assert es.parse_modification(mod.describe()) == mod
 
     def test_repartition_ignores_dt(self):
         prob, _ = es.build_kdv(64)

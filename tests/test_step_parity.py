@@ -13,7 +13,10 @@ the band (the test names that say "bitwise" predate the folded scales);
 the forward transforms and the real pair stay bitwise.  KdV's N squares
 P_B u, the band of its input, on the Nx-point grid; it is checked against
 the oracle's 3/2-rule square of P_B u, and every state a stepper reaches
-from KdV's u0 is checked to lie in the band, where P_B u = u."""
+from KdV's u0 is checked to lie in the band, where P_B u = u.  build_kdv's
+problem steps modes 0..B alone (its `band`); its runs are checked against
+the same problem stepping all nx modes."""
+import dataclasses
 import gc
 import importlib.util
 import math
@@ -59,6 +62,10 @@ REGROUPED_RTOL = 1e-14
 # one.  Measured: ZDS N 4.4e-16, KdV N 4.4e-15 (nx = 512, from u0), to_phys
 # 2.0e-16, dealiased_product 2.1e-16.
 N_RTOL = 5e-14
+
+
+# max |band layout - full layout| over max |full layout| of a KdV run
+BAND_RTOL = 1e-14
 
 
 def hermitian_spectrum(shape, seed):
@@ -158,6 +165,9 @@ def test_kdv_nonlinear_reads_only_the_nonnegative_half():
     junk[above] = rng_spectrum((int(above.sum()),), 11)
     assert np.array_equal(prob.nonlinear(0.0, junk), want)
     assert np.array_equal(prob.nonlinear(0.0, band_of(u)), want)
+    # handed modes 0..B alone, it returns modes 0..B alone
+    assert np.array_equal(prob.nonlinear(0.0, u[:prob.band]),
+                          want[:prob.band])
 
 
 def parity_modifications():
@@ -178,7 +188,9 @@ def test_kdv_states_stay_in_the_band(family, nx, h):
     # the band: each single run and each row of one batch over the parity
     # modifications, every stage of every step, and the EPBM5 start-up
     # block.  A row that overflows leaves its batch; N still sees it on its
-    # last step, so only finite rows are checked there.
+    # last step, so only finite rows are checked there.  `watched` has no
+    # band, so these runs step all nx modes: they witness that the band
+    # layout build_kdv's problem steps (modes 0..B alone) loses nothing.
     prob, u0 = es.build_kdv(nx)
     above = ~_dealias_for(nx).band
     checked = []
@@ -211,6 +223,43 @@ def test_kdv_states_stay_in_the_band(family, nx, h):
         assert np.all(block[:, above] == 0)
 
 
+@pytest.mark.parametrize("nx, t_end, n", [(64, 0.5, 50), (512, 0.1, 35)])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_band_layout_matches_the_full_layout(family, nx, t_end, n):
+    # build_kdv's problem steps modes 0..B alone; the same problem without
+    # its band steps all nx modes.  Over the parity modifications, single
+    # and batched, both give the same status, blow-up step and times, and
+    # states and samples within BAND_RTOL of the full layout's max-norm
+    # (the final state of a run that blew up is exempt).  Measured: modes
+    # 0..B are bitwise but for imrk4 (3.9e-16 at nx = 512), whose stacked
+    # stage products BLAS sums in another order on the shorter rows; the
+    # band layout's negative modes are exact mirrors, which the full
+    # layout's are only to within 8.8e-31.
+    prob, u0 = es.build_kdv(nx)
+    assert prob.band == _dealias_for(nx).cut + 1
+    meth = make_method(family)
+    mods = parity_modifications()
+    times = [t_end / 2, t_end]
+    runs = []
+    with np.errstate(all="ignore"):
+        for p in (prob, dataclasses.replace(prob, band=None)):
+            runs.append([integrate(p, meth, u0, (0.0, t_end), n,
+                                   modification=mod, sample_times=times)
+                         for mod in mods])
+            runs[-1] += integrate_many(p, meth, u0, (0.0, t_end), n, mods,
+                                       sample_times=times)
+    for got, want in zip(*runs):
+        assert (got.ok, got.blowup_step, got.t) == (want.ok, want.blowup_step,
+                                                    want.t)
+        if want.ok:
+            assert_close(got.y, want.y, BAND_RTOL)
+        for g, w in zip(got.samples, want.samples):
+            assert (g is None) == (w is None)
+            if w is not None:
+                assert g[0] == w[0]
+                assert_close(g[1], w[1], BAND_RTOL)
+
+
 @pytest.mark.parametrize("nx", [32, 128, 512])
 def test_direct_transforms_match_np_fft(nx):
     # _Dealias calls NumPy's private pocketfft gufuncs; the oracle's public
@@ -235,10 +284,8 @@ def test_direct_transforms_match_np_fft(nx):
         assert w.dtype == np.float64
         assert_parity(w, np.fft.irfft(band_of(u)[..., :nx // 2 + 1], n=nx))
         for w in (w, w + rng_spectrum(w.shape, 10 * nx + i + 5).real):
-            want = np.fft.rfft(w) * d.band_half
-            mirror = np.conj(want[..., nx // 2 - 1:0:-1])
-            assert_parity(d.from_phys_real(w, d.band_half),
-                          np.concatenate([want, mirror], axis=-1))
+            assert_parity(d.from_phys_real(w, 1.0),
+                          np.fft.rfft(w)[..., :d.cut + 1])
 
 
 def test_dealiased_product_is_bitwise():

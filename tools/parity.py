@@ -11,9 +11,11 @@ significant digits (a lossless round trip):
          and KdV-64 (t = 0.5 and t = 8, h = 0.01), and on short runs at
          the benchmark's sizes and step sizes: ZDS-128 (t = 1, h = 0.04)
          and KdV-512 (t = 0.1, h = 160/56000), whose N calls run on ZDS's
-         192-point padded grid and KdV's 512-point one.  Each run goes alone
-         (`integrate`) and as a row of one 6-row batch (`integrate_many`):
-         ok, blow-up step, t, the final state and samples at t/2 and t;
+         192-point padded grid and KdV's 512-point one.  KdV's runs step
+         modes 0..B and are recorded expanded to all Nx.  Each run goes
+         alone (`integrate`) and as a row of one 6-row batch
+         (`integrate_many`): ok, blow-up step, t, the final state and
+         samples at t/2 and t;
   grids  40x20 `region_grid`s for each family at three angles, and one
          100x100 epbm5 grid over the criterion-6 split window (k1 <= 4,
          k2 <= 2, rho = pi/12), whose 10000 transfer matrices span more
@@ -25,8 +27,9 @@ keeps the jobs matching any of its fnmatch patterns.
 `compare A B` reads two dumps, A the baseline, and reports each record of B
 as bitwise (every field equal to A's), within R (the same ok, blow-up step
 and times, and each array within R * max|array of A|), or moved; it prints
-the records that moved or are missing, then a summary per job.  It exits 0
-when no record moved or is missing.
+the records that moved or are missing, each moved run with A's max|y| (a
+run damped to subnormals reads near 1e-310), then a summary per job.  It
+exits 0 when no record moved or is missing.
 
 The bytes depend on the NumPy build and the CPU, so compare dumps made on
 one host.
@@ -155,6 +158,11 @@ def load(path) -> dict:
         return {rec["id"]: rec["fields"] for rec in map(json.loads, f)}
 
 
+def _max_abs(x: np.ndarray) -> float:
+    """max |x| over the finite entries of x (0 if there are none)."""
+    return float(np.max(np.abs(x[np.isfinite(x)]), initial=0.0))
+
+
 def _array_gap(new: list, base: list) -> float:
     """max |new - base| over max |base|, NaN-equal entries counting as 0."""
     x = np.array(new, dtype=np.float64)
@@ -164,7 +172,7 @@ def _array_gap(new: list, base: list) -> float:
     same = (x == y) | (np.isnan(x) & np.isnan(y))
     if same.all():
         return 0.0
-    scale = np.max(np.abs(y[np.isfinite(y)]), initial=0.0)
+    scale = _max_abs(y)
     gap = np.max(np.abs(x[~same] - y[~same]))
     return gap / scale if scale > 0 else math.inf
 
@@ -203,6 +211,9 @@ def compare(a_path, b_path, rtol: float) -> int:
             if kind == "moved" and a[rid].get("ok") is False \
                     and a[rid]["blowup_step"] == b[rid]["blowup_step"]:
                 why += " (both blew up at step %d)" % a[rid]["blowup_step"]
+            if kind == "moved" and "y" in a[rid]:
+                why += "; baseline max|y| %.3g" % _max_abs(
+                    np.array(a[rid]["y"], dtype=np.float64))
         if kind in ("moved", "missing"):
             moved += 1
             print("%s %s: %s" % (kind.upper(), rid, why))
