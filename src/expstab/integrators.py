@@ -69,7 +69,6 @@ class DiagonalProblem:
     L_diag: np.ndarray
     nonlinear: Callable[[float, np.ndarray], np.ndarray]
     grid: object = None       # spectral.PeriodicGrid
-    name: str = ""
     band: Optional[int] = None
 
 
@@ -89,14 +88,13 @@ def with_diagonals(problem: DiagonalProblem, L_diag: np.ndarray,
     None, the nonlinearity N(t, y) - dN*y: the problem a modification with
     diagonals (dL, dN) steps, for one run or a stack of them."""
     if dN is None:
-        return DiagonalProblem(L_diag, problem.nonlinear, problem.grid,
-                               problem.name)
+        return DiagonalProblem(L_diag, problem.nonlinear, problem.grid)
     base = problem.nonlinear
 
     def nonlinear(t, y):
         return base(t, y) - dN * y
 
-    return DiagonalProblem(L_diag, nonlinear, problem.grid, problem.name)
+    return DiagonalProblem(L_diag, nonlinear, problem.grid)
 
 
 # --- tableaux ----------------------------------------------------------------
@@ -192,23 +190,27 @@ def imrk_tableau() -> ButcherPair:
     return ButcherPair(A_implicit=AI, A_explicit=AE, b=b, c=c)
 
 
-# --- steppers ----------------------------------------------------------------
-# Every stepper takes (problem, t, y, h, phis, tableau), tableau None if the
-# family has none, and returns the new y (the block method's: its (5, n)
-# node block).  A family's `_*_coefficients` runs on the first step of each
-# h and copies the table rows it keeps, so that no table outlives it.
+# each family's one tableau, read by its stepper and coefficient builder
+_ESDC, _EPBM, _IMRK = esdc_tableau(), epbm_tableau(), imrk_tableau()
 
-def _exp_euler_coefficients(phis: PhiCache, h, tableau=None) -> tuple:
+
+# --- steppers ----------------------------------------------------------------
+# Every stepper takes (problem, t, y, h, phis) and returns the new y (the
+# block method's: its (5, n) node block).  A family's `_*_coefficients`
+# runs on the first step of each h and copies the table rows it keeps, so
+# that no table outlives it.
+
+def _exp_euler_coefficients(phis: PhiCache, h) -> tuple:
     values = phis.table(h).values
     return values[0].copy(), h * values[1]
 
 
-def step_exp_euler(problem, t, y, h, phis: PhiCache, tableau=None) -> np.ndarray:
+def step_exp_euler(problem, t, y, h, phis: PhiCache) -> np.ndarray:
     E, D = phis.coefficients(_exp_euler_coefficients, h)
     return E * y + D * problem.nonlinear(t, y)
 
 
-def _erk4_coefficients(phis: PhiCache, h, tableau=None) -> tuple:
+def _erk4_coefficients(phis: PhiCache, h) -> tuple:
     """e^(hL/2), e^(hL) and the Krogstad weights, each combined as the
     per-step form combined it, so the step is unchanged to the bit."""
     e2, p12, p22 = phis.table(0.5 * h).values[:3]
@@ -218,7 +220,7 @@ def _erk4_coefficients(phis: PhiCache, h, tableau=None) -> tuple:
             2.0 * p2 - 4.0 * p3, -p2 + 4.0 * p3)
 
 
-def step_erk4(problem, t, y, h, phis: PhiCache, tableau=None) -> np.ndarray:
+def step_erk4(problem, t, y, h, phis: PhiCache) -> np.ndarray:
     """Krogstad exponential RK4; reduces to classical RK4 at L = 0."""
     N = problem.nonlinear
     e2, e1, a10, a20, a21, a30, a32, b0, b12, b3 = phis.coefficients(
@@ -235,7 +237,7 @@ def step_erk4(problem, t, y, h, phis: PhiCache, tableau=None) -> np.ndarray:
     return e1y + h * (b0 * K0 + b12 * (K1 + K2) + b3 * K3)
 
 
-def _esdc6_coefficients(phis: PhiCache, h, tableau: ESDCTableau) -> tuple:
+def _esdc6_coefficients(phis: PhiCache, h) -> tuple:
     """Per substep j of length h_j: E_j = phi_0(h_j L), D_j = h_j phi_1(h_j
     L), and the quadrature weight stack Q (3, 4, *L.shape),
 
@@ -246,12 +248,12 @@ def _esdc6_coefficients(phis: PhiCache, h, tableau: ESDCTableau) -> tuple:
     old value.  Substep 0 subtracts nothing: its node-0 value is N(t0, y0)
     in every sweep, so its new and old values cancel exactly."""
     E, D, Q = [], [], []
-    for j, d in enumerate(tableau.delta):
+    for j, d in enumerate(_ESDC.delta):
         hj = h * d
         v = phis.table(hj).values
         E.append(v[0].copy())
         D.append(hj * v[1])
-        q = hj * np.tensordot(tableau.weights[j].T, v[1:5], axes=1)
+        q = hj * np.tensordot(_ESDC.weights[j].T, v[1:5], axes=1)
         if j:
             q[j] -= D[j]
         Q.append(q)
@@ -268,15 +270,14 @@ def _esdc6_quadratures(Nold, Q) -> np.ndarray:
     return G
 
 
-def step_esdc6(problem, t0, y0, h, phis: PhiCache,
-               tableau: ESDCTableau) -> np.ndarray:
+def step_esdc6(problem, t0, y0, h, phis: PhiCache) -> np.ndarray:
     """Exponential-Euler predictor over the three Lobatto substeps, then
     _ESDC_SWEEPS correction sweeps: 4 + 3 * 6 - 1 = 21 N calls, as the
     final sweep skips its unused node-3 value.  A sweep's substep j is
     Y_(j+1) = E_j Y_j + D_j N_j^new + G_j (substep 0: E_0 y0 + G_0)."""
     N = problem.nonlinear
-    E, D, Q = phis.coefficients(_esdc6_coefficients, h, tableau)
-    tn = [t0 + h * eta for eta in tableau.nodes]
+    E, D, Q = phis.coefficients(_esdc6_coefficients, h)
+    tn = [t0 + h * eta for eta in _ESDC.nodes]
     e0y = E[0] * y0
 
     # exponential-Euler predictor along the substeps
@@ -299,7 +300,7 @@ def step_esdc6(problem, t0, y0, h, phis: PhiCache,
     return Y
 
 
-def _epbm5_coefficients(phis: PhiCache, r, tab: EPBMTableau) -> list:
+def _epbm5_coefficients(phis: PhiCache, r) -> list:
     """(E, P, c, zero) for the predictor pass (alpha = 1) and the corrector
     pass (alpha = 0), stacked over the five nodes j with eta_j = z_j +
     alpha + 1: E[j] = phi_0(r eta_j L), P[k-1][j] = phi_k(r eta_j L),
@@ -313,7 +314,7 @@ def _epbm5_coefficients(phis: PhiCache, r, tab: EPBMTableau) -> list:
         c = np.zeros((4, 5) + (1,) * len(shape), dtype=np.complex128)
         zero = None
         for j in range(5):
-            eta = tab.z[j] + alpha + 1.0
+            eta = _EPBM.z[j] + alpha + 1.0
             if eta == 0.0:
                 zero = j
                 continue
@@ -326,17 +327,17 @@ def _epbm5_coefficients(phis: PhiCache, r, tab: EPBMTableau) -> list:
     return passes
 
 
-def _epbm_derivatives(problem, block, t_base, r, tab) -> np.ndarray:
+def _epbm_derivatives(problem, block, t_base, r) -> np.ndarray:
     """v_1..v_4 from N at block nodes 2..5 (the node values die here)."""
     N = problem.nonlinear
-    nvals = np.asarray([N(t_base + r * tab.z[j], block[j])
+    nvals = np.asarray([N(t_base + r * _EPBM.z[j], block[j])
                         for j in range(1, 5)])
-    return (tab.vmap @ nvals.reshape(4, -1)).reshape(nvals.shape)
+    return (_EPBM.vmap @ nvals.reshape(4, -1)).reshape(nvals.shape)
 
 
-def _epbm_pass(problem, block, t_base, r, tab, E, P, c, zero) -> np.ndarray:
+def _epbm_pass(problem, block, t_base, r, E, P, c, zero) -> np.ndarray:
     """One interpolate-and-propagate pass over the five nodes at once."""
-    v = _epbm_derivatives(problem, block, t_base, r, tab)
+    v = _epbm_derivatives(problem, block, t_base, r)
     out = E * block[0]
     term = np.empty_like(out)   # one buffer: a grid's (5, n1, n2) is large
     for k in range(4):
@@ -348,41 +349,39 @@ def _epbm_pass(problem, block, t_base, r, tab, E, P, c, zero) -> np.ndarray:
     return out
 
 
-def step_epbm5(problem, t, block, h, phis: PhiCache,
-               tableau: EPBMTableau) -> np.ndarray:
+def step_epbm5(problem, t, block, h, phis: PhiCache) -> np.ndarray:
     """Two-pass composite step: predictor pass advances the block by h,
     corrector pass rebuilds it about the advanced node 1."""
-    pred, corr = phis.coefficients(_epbm5_coefficients, h, tableau)
-    mid = _epbm_pass(problem, block, t, h, tableau, *pred)
-    return _epbm_pass(problem, mid, t + h, h, tableau, *corr)
+    pred, corr = phis.coefficients(_epbm5_coefficients, h)
+    mid = _epbm_pass(problem, block, t, h, *pred)
+    return _epbm_pass(problem, mid, t + h, h, *corr)
 
 
-def _imrk4_coefficients(phis: PhiCache, h, tab: ButcherPair) -> tuple:
+def _imrk4_coefficients(phis: PhiCache, h) -> tuple:
     """The stage denominator 1 - h gamma L (checked for singularity), the
     (6, 12) stage matrix C of h a_ij, whose columns interleave the implicit
     (L Y_j, column 2j) and explicit (N_j, column 2j+1) couplings, and the
     weights h b_i in the same interleaved order."""
-    denom = 1.0 - (h * tab.gamma) * phis.L_diag
+    denom = 1.0 - (h * _IMRK.gamma) * phis.L_diag
     if np.any(denom == 0):
         raise ZeroDivisionError("implicit stage solve is singular")
     C = np.zeros((6, 12), dtype=np.complex128)
-    C[:, 0::2] = h * np.tril(tab.A_implicit, -1)
-    C[:, 1::2] = h * tab.A_explicit
-    B = np.repeat(h * tab.b, 2).astype(np.complex128)
+    C[:, 0::2] = h * np.tril(_IMRK.A_implicit, -1)
+    C[:, 1::2] = h * _IMRK.A_explicit
+    B = np.repeat(h * _IMRK.b, 2).astype(np.complex128)
     return denom, C, B
 
 
-def step_imrk4(problem, t, y, h, phis: PhiCache,
-               tableau: ButcherPair) -> np.ndarray:
+def step_imrk4(problem, t, y, h, phis: PhiCache) -> np.ndarray:
     """Additive RK step: diagonal L solved implicitly, N explicit.  The
-    implicit stages share the tableau's diagonal entry `tableau.gamma`, so
+    implicit stages share the tableau's diagonal entry `gamma`, so
     one denominator 1 - h gamma L serves every stage (ZeroDivisionError
     where it vanishes).  L Y_j and N_j fill the rows of one (12, ...)
     buffer K as the stages produce them, so stage i's coupling sum is the
     one product C[i, :2i] @ K[:2i], and the update B @ K."""
     L = problem.L_diag
     N = problem.nonlinear
-    denom, C, B = phis.coefficients(_imrk4_coefficients, h, tableau)
+    denom, C, B = phis.coefficients(_imrk4_coefficients, h)
     K = np.empty((12,) + y.shape, dtype=np.complex128)
     Kf = K.reshape(12, -1)
     np.multiply(L, y, out=K[0])
@@ -392,13 +391,13 @@ def step_imrk4(problem, t, y, h, phis: PhiCache,
         Yi += y
         Yi /= denom
         np.multiply(L, Yi, out=K[2 * i])
-        K[2 * i + 1] = N(t + tableau.c[i] * h, Yi)
+        K[2 * i + 1] = N(t + _IMRK.c[i] * h, Yi)
     y1 = (B @ Kf).reshape(y.shape)
     y1 += y
     return y1
 
 
-def step_rk4(problem, t, y, h, phis: PhiCache, tableau=None) -> np.ndarray:
+def step_rk4(problem, t, y, h, phis: PhiCache) -> np.ndarray:
     L = problem.L_diag
     N = problem.nonlinear
     f = lambda tt, yy: L * yy + N(tt, yy)
@@ -413,21 +412,20 @@ def step_rk4(problem, t, y, h, phis: PhiCache, tableau=None) -> np.ndarray:
 class MethodSpec:
     """One method family: its stepper, whether it is the block method (a
     startup block, one extra composite step, node 1 lagging by one step),
-    its tableau, and its default k2 window for stability maps."""
+    and its default k2 window for stability maps."""
     family: str
     step: Callable
     block: bool
-    tableau: object
     k2_band: float
 
 
 METHODS = {spec.family: spec for spec in (
-    MethodSpec("erk4", step_erk4, False, None, 12.0),
-    MethodSpec("esdc6", step_esdc6, False, esdc_tableau(), 25.0),
-    MethodSpec("epbm5", step_epbm5, True, epbm_tableau(), 4.0),
-    MethodSpec("imrk4", step_imrk4, False, imrk_tableau(), 12.0),
-    MethodSpec("rk4", step_rk4, False, None, 12.0),
-    MethodSpec("exp_euler", step_exp_euler, False, None, 12.0),
+    MethodSpec("erk4", step_erk4, False, 12.0),
+    MethodSpec("esdc6", step_esdc6, False, 25.0),
+    MethodSpec("epbm5", step_epbm5, True, 4.0),
+    MethodSpec("imrk4", step_imrk4, False, 12.0),
+    MethodSpec("rk4", step_rk4, False, 12.0),
+    MethodSpec("exp_euler", step_exp_euler, False, 12.0),
 )}
 FAMILIES = tuple(METHODS)
 
@@ -440,14 +438,14 @@ def make_method(family: str) -> MethodSpec:
 
 # --- block startup and the driving loop --------------------------------------
 
-def epbm_initialize(problem, y0: np.ndarray, t0: float, r: float,
-                    tableau: EPBMTableau) -> np.ndarray:
+def epbm_initialize(problem, y0: np.ndarray, t0: float,
+                    r: float) -> np.ndarray:
     """Fill the 5-node startup block by exponential (Krogstad) sub-stepping
     of the problem itself, _STARTUP_SUBSTEPS steps per span: node 1 (t0 - r)
     backward from y0 (negative steps), then each node gap forward.
     Exponential sub-stepping keeps the startup stable for arbitrarily stiff
     diagonal L, where an explicit bridge would need a prohibitive count."""
-    z = tableau.z
+    z = _EPBM.z
     block = np.empty((5,) + y0.shape, dtype=np.complex128)
     phis = PhiCache(problem.L_diag)
 
@@ -551,7 +549,7 @@ def integrate_many(problem, method: MethodSpec, y0: np.ndarray,
     h = (t1 - t0) / n_steps
     lag = 1 if method.block else 0
     # map each requested sample time to the step whose output is nearest
-    wants = list(float(s) for s in sample_times) if sample_times else []
+    wants = [] if sample_times is None else [float(s) for s in sample_times]
     sample_at = {}
     for i, s in enumerate(wants):
         if not math.isfinite(s):
@@ -569,8 +567,7 @@ def integrate_many(problem, method: MethodSpec, y0: np.ndarray,
         pairs = [tuple(None if d is None else d[..., :band] for d in pair)
                  for pair in pairs]
         y0, L = y0[..., :band], L[..., :band]
-        problem = DiagonalProblem(L, problem.nonlinear, problem.grid,
-                                  problem.name)
+        problem = with_diagonals(problem, L)
         full = lambda a: _expand(a, nx)
     Ls = [L if dL is None else L + dL for dL, _ in pairs]
     dNs = [dN for _, dN in pairs]
@@ -605,7 +602,7 @@ def integrate_many(problem, method: MethodSpec, y0: np.ndarray,
     ts, state = t0, y         # the stepper's time and state
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if method.block:
-            state = batch(epbm_initialize(problem, y0, t0, h, method.tableau))
+            state = batch(epbm_initialize(problem, y0, t0, h))
             if not np.isfinite(state).all():
                 for run in live:
                     finish(run, t0, y0, blowup_step=0)
@@ -613,7 +610,7 @@ def integrate_many(problem, method: MethodSpec, y0: np.ndarray,
         stepped = with_diagonals(problem, Ls, dNs)
         phis = PhiCache(Ls)
         for m in range(1, n_steps + lag + 1):
-            state = method.step(stepped, ts, state, h, phis, method.tableau)
+            state = method.step(stepped, ts, state, h, phis)
             ts = ts + h
             if not np.isfinite(state).all():
                 ok = np.isfinite(state).reshape(

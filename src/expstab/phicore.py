@@ -117,12 +117,12 @@ class PhiCache:
     def table(self, h: float, K: int = 4) -> PhiTable:
         return phi_table(self.L_diag, h, K)
 
-    def coefficients(self, build, h: float, tableau=None):
-        """`build(self, h, tableau)`, run on the first request for (build, h)
-        and returned from the memo after that.  Each method family has one
-        builder and one tableau, so (build, h) identifies the arrays."""
+    def coefficients(self, build, h: float):
+        """`build(self, h)`, run on the first request for (build, h) and
+        returned from the memo after that: a builder's arrays depend on
+        (L, h) alone, so (build, h) identifies them."""
         key = (build, float(h))
         out = self._coefficients.get(key)
         if out is None:
-            out = self._coefficients[key] = build(self, h, tableau)
+            out = self._coefficients[key] = build(self, h)
         return out

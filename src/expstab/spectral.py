@@ -32,8 +32,11 @@ __all__ = [
     "PeriodicGrid", "RepartitionSpec", "HyperviscositySpec", "build_zds",
     "build_kdv", "dealiased_product", "repartition_shift", "parse_angle",
     "parse_modification", "REPARTITION_KINDS", "spectral_radius_fraction",
-    "write_spectrum", "read_spectrum",
+    "write_spectrum", "read_spectrum", "KDV_DELTA", "HYPERVISCOSITY_POWER",
 ]
+
+KDV_DELTA = 0.022           # build_kdv's dispersion coefficient on u_xxx
+HYPERVISCOSITY_POWER = 5    # the power of dt in the hyperviscosity damping
 
 
 def _require_power_of_two(nx: int, minimum: int) -> int:
@@ -202,34 +205,31 @@ def build_zds(nx: int = 128) -> tuple[DiagonalProblem, np.ndarray]:
     u0 = np.zeros(nx, dtype=np.complex128)
     u0[0] = nx * 1.0
     u0[round(0.75 / grid.dk)] = nx * 0.01
-    return DiagonalProblem(L, nonlinear, grid, "zds"), u0
+    return DiagonalProblem(L, nonlinear, grid), u0
 
 
-def build_kdv(nx: int = 512, delta: float = 0.022
-              ) -> tuple[DiagonalProblem, np.ndarray]:
+def build_kdv(nx: int = 512) -> tuple[DiagonalProblem, np.ndarray]:
     """Korteweg-de Vries with small dispersion on [0, 2):
 
         u_t = -delta u_xxx - (1/2)(u^2)_x,   u(x, 0) = cos(pi x)
 
-    L = i delta k^3;  N = -(i k / 2) P_B (P_B u)^2, where P_B keeps the
-    retained two-thirds band |j| <= B.  u is real, so N squares it on the
-    real-field path of the Nx-point grid: it reads modes 0..B of its input
-    and returns the layout it is given, modes 0..B for a (..., B + 1) input
-    and the exactly Hermitian spectrum, zero above the band, for a full
-    one.  Every state a stepper reaches from u0 is confined to the band
-    (N's output is, and L and every modification are diagonal), so there
-    P_B u = u and N is the exactly dealiased -(i k / 2) (u^2): on the band,
-    3B < Nx keeps the square free of aliases without padding.  The
-    problem's `band` is B + 1: `integrate_many` steps modes 0..B alone,
-    from a u0 that must be their Hermitian expansion, and expands what it
-    returns to Nx modes.
+    with delta = KDV_DELTA.  L = i delta k^3;  N = -(i k / 2) P_B (P_B u)^2,
+    where P_B keeps the retained two-thirds band |j| <= B.  u is real, so N
+    squares it on the real-field path of the Nx-point grid: it reads modes
+    0..B of its input and returns the layout it is given, modes 0..B for a
+    (..., B + 1) input and the exactly Hermitian spectrum, zero above the
+    band, for a full one.  Every state a stepper reaches from u0 is
+    confined to the band (N's output is, and L and every modification are
+    diagonal), so there P_B u = u and N is the exactly dealiased
+    -(i k / 2) (u^2): on the band, 3B < Nx keeps the square free of aliases
+    without padding.  The problem's `band` is B + 1: `integrate_many` steps
+    modes 0..B alone, from a u0 that must be their Hermitian expansion, and
+    expands what it returns to Nx modes.
     """
     nx = _require_power_of_two(nx, 32)
-    if not delta > 0:
-        raise ValueError("delta must be positive")
     grid = PeriodicGrid(nx=nx, a=0.0, b=2.0)
     k = grid.wavenumbers
-    L = 1j * delta * k ** 3
+    L = 1j * KDV_DELTA * k ** 3
     d = _dealias_for(nx)
     band = d.cut + 1
     weight = -0.5j * k[:band]
@@ -243,7 +243,7 @@ def build_kdv(nx: int = 512, delta: float = 0.022
     u0 = np.zeros(nx, dtype=np.complex128)
     u0[1] = 0.5 * nx
     u0[-1] = 0.5 * nx
-    return DiagonalProblem(L, nonlinear, grid, "kdv", band), u0
+    return DiagonalProblem(L, nonlinear, grid, band), u0
 
 
 # --- stabilizing modifications ------------------------------------------------
@@ -338,25 +338,19 @@ def repartition_shift(L: np.ndarray, spec: RepartitionSpec,
 
 @dataclass(frozen=True)
 class HyperviscositySpec:
-    """Add artificial dissipation -(dt)^(q+1) * gamma * k^m to L (this
-    changes the equation, unlike repartitioning)."""
+    """Add artificial dissipation -dt^HYPERVISCOSITY_POWER * gamma * k^m
+    to L (this changes the equation, unlike repartitioning)."""
     m: int
     gamma: float
-    q: int = 4
 
     def __post_init__(self):
         if self.m not in (4, 6, 8):
             raise ValueError("hyperviscosity power m must be 4, 6 or 8")
         if not 0.0 <= self.gamma < math.inf:
             raise ValueError("gamma must be finite and >= 0")
-        if not (self.q >= 0 and float(self.q).is_integer()):
-            raise ValueError("hyperviscosity order q must be a whole number "
-                             ">= 0")
-        object.__setattr__(self, "q", int(self.q))
 
     def describe(self) -> str:
-        s = "hyperviscosity:m=%d:gamma=%.17g" % (self.m, self.gamma)
-        return s if self.q == 4 else s + ":q=%d" % self.q
+        return "hyperviscosity:m=%d:gamma=%.17g" % (self.m, self.gamma)
 
     def diagonals(self, problem: DiagonalProblem, dt: float) -> tuple:
         """dL = -damp; N is unchanged."""
@@ -365,7 +359,7 @@ class HyperviscositySpec:
         if problem.grid is None:
             raise ValueError("hyperviscosity needs the problem grid")
         k = problem.grid.wavenumbers
-        return -((dt ** (self.q + 1)) * self.gamma * k ** self.m), None
+        return -((dt ** HYPERVISCOSITY_POWER) * self.gamma * k ** self.m), None
 
 
 def parse_angle(s: str) -> float:
@@ -382,31 +376,31 @@ def parse_angle(s: str) -> float:
 
 
 # field names of each modification kind, in positional order
-_FIELDS = {"hyperviscosity": ("m", "gamma", "q"), "identity": ("eps",)}
-_CASTS = {"m": int, "gamma": float, "q": int, "eps": float, "rho": parse_angle}
+_FIELDS = {"hyperviscosity": ("m", "gamma"), "identity": ("eps",)}
+_CASTS = {"m": int, "gamma": float, "eps": float, "rho": parse_angle}
 
 
 def parse_modification(s: str):
     """Inverse of `describe()`: 'none' is None, otherwise 'kind:field:..'
-    with keyed fields ('rho=pi/64', 'eps=8', 'm=8', 'gamma=1e10', 'q=3') or
-    bare ones named by position: 'hyperviscosity:m:gamma[:q]',
+    with keyed fields ('rho=pi/64', 'eps=8', 'm=8', 'gamma=1e10') or
+    bare ones named by position: 'hyperviscosity:m:gamma',
     'identity:eps' and 'abs_k3:rho' / 'k2:rho'."""
     s = s.strip()
     if s == "none":
         return None
     kind, *fields = s.split(":")
     names = _FIELDS.get(kind, ("rho", "eps"))
-    fields = [f for f in fields if f]
-    if len(fields) > len(names):
-        raise ValueError("too many fields in %r" % (s,))
     vals = {}
-    for name, field in zip(names, fields):
+    for i, field in enumerate(f for f in fields if f):
         key, _, val = field.rpartition("=")
         if key and key not in names:
             raise ValueError("unknown field %r in %r" % (key, s))
-        if (key or name) in vals:
-            raise ValueError("field %r given twice in %r" % (key or name, s))
-        vals[key or name] = _CASTS[key or name](val)
+        if i >= len(names):
+            raise ValueError("too many fields in %r" % (s,))
+        key = key or names[i]
+        if key in vals:
+            raise ValueError("field %r given twice in %r" % (key, s))
+        vals[key] = _CASTS[key](val)
     if kind != "hyperviscosity":
         return RepartitionSpec(kind, rho=vals.get("rho"),
                                epsilon=vals.get("eps"))
@@ -455,7 +449,8 @@ def write_spectrum(path, problem_name: str, t: float, u_hat: np.ndarray,
 
 
 def read_spectrum(path) -> tuple[dict, np.ndarray]:
-    """Inverse of write_spectrum; a truncated file raises ValueError."""
+    """Inverse of write_spectrum; a truncated file, a negative Nx or rows
+    beyond Nx raise ValueError."""
     with open(path, "r") as f:
         header = f.readline().rstrip("\n")
         if not header.startswith(_SNAP_MAGIC):
@@ -468,6 +463,9 @@ def read_spectrum(path) -> tuple[dict, np.ndarray]:
             raise ValueError("truncated spectrum snapshot %s: header lacks "
                              "Nx or t" % (path,))
         nx = int(meta["Nx"])
+        if nx < 0:
+            raise ValueError("spectrum snapshot %s: header Nx=%d is negative"
+                             % (path, nx))
         meta["Nx"] = nx
         meta["t"] = float(meta["t"])
         u = np.empty(nx, dtype=np.complex128)
@@ -478,4 +476,7 @@ def read_spectrum(path) -> tuple[dict, np.ndarray]:
                                  "rows, found %d complete" % (path, nx, i))
             re_s, _, im_s = row.partition(",")
             u[i] = complex(float(re_s), float(im_s))
+        if f.readline():
+            raise ValueError("spectrum snapshot %s has rows beyond its Nx=%d"
+                             % (path, nx))
     return meta, u

@@ -13,7 +13,7 @@ which rotates the linear eigenvalue by rho into the left half-plane.
 
 Every probe builds that problem as a DiagonalProblem and executes literal
 steps of the method's production stepper, `MethodSpec.step(problem, t, y, h,
-phis, tableau)`, from t=0.  One-step methods are probed by one h=1 step from
+phis)`, from t=0.  One-step methods are probed by one h=1 step from
 y=1; the block method gets a 5x5 transfer matrix, one composite step of each
 basis block, whose spectral radius decides stability (`region_grid`
 classifies every method by radius alone; `power_bounded_classification` is
@@ -100,13 +100,13 @@ def _probe(method: MethodSpec, k1, k2,
     phis = PhiCache(problem.L_diag)
     if not method.block:
         y = np.ones(z2.shape, dtype=np.complex128)
-        return method.step(problem, 0.0, y, 1.0, phis, method.tableau)
+        return method.step(problem, 0.0, y, 1.0, phis)
     M = np.empty(z2.shape + (5, 5), dtype=np.complex128)
     for col in range(5):
         block = np.zeros((5,) + z2.shape, dtype=np.complex128)
         block[col] = 1.0
-        M[..., col] = np.moveaxis(method.step(problem, 0.0, block, 1.0, phis,
-                                              method.tableau), 0, -1)
+        M[..., col] = np.moveaxis(method.step(problem, 0.0, block, 1.0, phis),
+                                  0, -1)
     return M
 
 
@@ -407,8 +407,7 @@ def power_bounded_classification(M: np.ndarray) -> str:
     except np.linalg.LinAlgError:
         warnings.warn("eigenvalue computation failed; classifying marginal")
         return "marginal"
-    if radius > MARGINAL_LIMIT:
-        return "unstable"
+    label = str(_classify(radius))
     if abs(radius - 1.0) <= POWER_TOL:
         limit = 10.0 * float(np.max(np.abs(M)))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -422,7 +421,7 @@ def power_bounded_classification(M: np.ndarray) -> str:
                     P = P @ step
                 if not np.max(np.abs(P[:_LAST_POWER + 1 - first])) <= limit:
                     return "unstable"
-    return "stable" if radius <= 1.0 + STABLE_TOL else "marginal"
+    return label
 
 
 _CLASS_NAMES = np.array(["stable", "marginal", "unstable"])

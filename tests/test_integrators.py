@@ -9,6 +9,7 @@ import pytest
 from expstab import (
     DiagonalProblem,
     FAMILIES,
+    MethodSpec,
     epbm_tableau,
     esdc_tableau,
     imrk_tableau,
@@ -17,6 +18,7 @@ from expstab import (
     make_method,
     RepartitionSpec,
 )
+from expstab import integrators
 from expstab.integrators import PhiCache, step_epbm5, step_erk4, step_rk4
 
 from epbm_oracle import closed_form_vmap
@@ -112,12 +114,16 @@ class TestIMRKTableau:
 
 
 def test_make_method_payloads():
-    assert isinstance(make_method("esdc6").tableau, type(esdc_tableau()))
-    assert isinstance(make_method("epbm5").tableau, type(epbm_tableau()))
-    assert isinstance(make_method("imrk4").tableau, type(imrk_tableau()))
-    for family in ("erk4", "rk4", "exp_euler"):
-        assert make_method(family).tableau is None
+    assert [f.name for f in dataclasses.fields(MethodSpec)] == [
+        "family", "step", "block", "k2_band"]
+    for family in FAMILIES:
+        spec = make_method(family)
+        assert spec.family == family
+        assert spec.step is getattr(integrators, "step_" + family)
     assert [f for f in FAMILIES if make_method(f).block] == ["epbm5"]
+    assert {f: make_method(f).k2_band for f in FAMILIES} == {
+        "erk4": 12.0, "esdc6": 25.0, "epbm5": 4.0, "imrk4": 12.0,
+        "rk4": 12.0, "exp_euler": 12.0}
     with pytest.raises(ValueError):
         make_method("rk45")
 
@@ -163,8 +169,7 @@ class TestFrozenOneStep:
         for col in range(5):
             block = np.zeros((5, 1), dtype=np.complex128)
             block[col, 0] = 1.0
-            M[:, col] = step_epbm5(prob, 0.0, block, 1.0, phis,
-                                   epbm_tableau())[:, 0]
+            M[:, col] = step_epbm5(prob, 0.0, block, 1.0, phis)[:, 0]
         assert np.max(np.abs(M[0] - EPBM5_TRANSFER_ROW0)) < 5e-13
 
 
@@ -262,6 +267,20 @@ def test_sampling_nearest_step():
     ends = integrate(prob, make_method("rk4"), np.array([1.0 + 0j]),
                      (0.0, 1.0), 10, sample_times=[-0.5, 1.0 + 1e-12])
     assert [s[0] for s in ends.samples] == pytest.approx([0.0, 1.0], abs=1e-14)
+
+
+@pytest.mark.parametrize("times", [[0.0], [0.0, 0.33, 1.0]])
+def test_sample_times_may_be_an_array(times):
+    # an array of sample times samples as the same list does: a one-element
+    # array is not read as "no samples", nor a longer one as ambiguous
+    prob = scalar_problem(0.2 - 1.0j, 0.0)
+    runs = [integrate(prob, make_method("rk4"), np.array([1.0 + 0j]),
+                      (0.0, 1.0), 10, sample_times=given)
+            for given in (times, np.array(times))]
+    assert len(runs[1].samples) == len(times)
+    for (t_list, y_list), (t_arr, y_arr) in zip(runs[0].samples,
+                                                 runs[1].samples):
+        assert t_list == t_arr and np.array_equal(y_list, y_arr)
 
 
 def test_sampling_epbm_block_node():

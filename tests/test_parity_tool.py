@@ -1,8 +1,11 @@
 """Smoke test of tools/parity.py: a slice of its matrix dumped twice
-compares equal record for record, and a changed value is reported."""
+compares equal record for record, a changed value is reported, and the
+script's dumps do not depend on the BLAS thread count."""
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -55,3 +58,22 @@ def test_dump_twice_compares_equal(parity, tmp_path, capsys):
     moved = capsys.readouterr().out.splitlines()[0]
     assert moved.startswith("MOVED %s: absR differs by" % records[-1]["id"])
     assert "max|y|" not in moved
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_script_runs_blas_on_one_thread(parity, tmp_path):
+    """A dump made with the BLAS thread variables unset equals one made
+    with them set to 1: imrk4's batched KdV-512 stage products round with
+    the thread count, so on a multi-core host they differ unless the script
+    pins one thread itself."""
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    base["PYTHONPATH"] = os.path.join(os.path.dirname(HERE), "src")
+    pinned = dict(base, **{k: "1" for k in BLAS_THREADS})
+    for name, env in (("unset", base), ("pinned", pinned)):
+        subprocess.run([sys.executable, TOOL, "dump", str(tmp_path / name),
+                        "--only", "run/kdv512-t0.1/imrk4"], env=env,
+                       check=True, capture_output=True)
+    assert parity.compare(str(tmp_path / "pinned"),
+                          str(tmp_path / "unset"), 0.0) == 0

@@ -184,7 +184,6 @@ def test_building_problems_leaves_numpy_fft_unimported():
 class TestBuildZDS:
     def test_structure(self):
         prob, u0 = es.build_zds(128)
-        assert prob.name == "zds"
         g = prob.grid
         assert (g.nx, g.a, g.b) == (128, -4.0 * math.pi, 4.0 * math.pi)
         assert g.dk == pytest.approx(0.25, abs=1e-16)
@@ -218,7 +217,6 @@ class TestBuildZDS:
 class TestBuildKdV:
     def test_structure(self):
         prob, u0 = es.build_kdv(512)
-        assert prob.name == "kdv"
         g = prob.grid
         assert (g.nx, g.a, g.b) == (512, 0.0, 2.0)
         k = g.wavenumbers
@@ -257,8 +255,6 @@ class TestBuildKdV:
     def test_validation(self):
         with pytest.raises(ValueError):
             es.build_kdv(100)
-        with pytest.raises(ValueError):
-            es.build_kdv(64, delta=0.0)
         with pytest.raises(ValueError, match="power of two"):
             es.build_kdv(512.5)
 
@@ -409,20 +405,20 @@ class TestHyperviscosity:
         prob, _ = es.build_zds(64)
         with pytest.raises(ValueError):
             modified(es.HyperviscositySpec(4, 1.0), prob, 0.0)
-        # q, the extra powers of dt, is a whole number >= 0: describe()
-        # writes it with %d
-        for bad in (2.5, -3, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="whole number"):
-                es.HyperviscositySpec(8, 1e10, q=bad)
-        assert type(es.HyperviscositySpec(8, 1e10, q=2.0).q) is int
 
     def test_describe(self):
         assert es.HyperviscositySpec(8, 1e10).describe() \
             == "hyperviscosity:m=8:gamma=10000000000"
-        assert es.HyperviscositySpec(4, 1.0).q == 4
-        # q is named only when it is not the default 4
-        assert es.HyperviscositySpec(8, 1e10, q=3).describe() \
-            == "hyperviscosity:m=8:gamma=10000000000:q=3"
+
+    def test_refuses_a_q_field(self, tmp_path, monkeypatch):
+        # the power of dt is the constant HYPERVISCOSITY_POWER, not a field
+        with pytest.raises(ValueError, match="unknown field 'q'"):
+            es.parse_modification("hyperviscosity:m=8:gamma=1e10:q=3")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("EXPSTAB_CACHE_DIR", str(tmp_path / "cache"))
+        assert es.main(["converge", "--hyperviscosity",
+                        "m=8:gamma=1e10:q=3"]) == 2
+        assert os.listdir(tmp_path) == []
 
 
 # --- the modification grammar ------------------------------------------------------
@@ -449,8 +445,6 @@ class TestParseModification:
         ("k2:pi/3", es.RepartitionSpec("k2", rho=math.pi / 3)),
         ("hyperviscosity:m=8:gamma=1e10", es.HyperviscositySpec(8, 1e10)),
         ("hyperviscosity:4:1e6", es.HyperviscositySpec(4, 1e6)),
-        ("hyperviscosity:m=8:gamma=1e10:q=3", es.HyperviscositySpec(8, 1e10, 3)),
-        ("hyperviscosity:4:1e6:2", es.HyperviscositySpec(4, 1e6, q=2)),
     ])
     def test_accepts(self, s, spec):
         assert es.parse_modification(s) == spec
@@ -458,7 +452,8 @@ class TestParseModification:
     @pytest.mark.parametrize("s", [
         "abs_k3", "bogus:rho=0.1", "k2:two", "k2:foo=1", "k2:0.1:0.2:0.3",
         "hyperviscosity:8", "hyperviscosity:5:1.0", "hyperviscosity:m=8.5:1",
-        "hyperviscosity:m=8:q=3", "hyperviscosity:8:1:3:4",
+        "hyperviscosity:m=8:q=3", "hyperviscosity:4:1e6:2",
+        "hyperviscosity:8:1:3:4",
         # one angle per repartition, each field once, finite values
         "abs_k3:0.1:0.5", "k2:rho=0.1:eps=0.5", "identity:8:0.3",
         "identity:rho=0.3", "abs_k3:rho=pi/4:rho=pi/8", "identity:8:eps=9",
@@ -475,7 +470,7 @@ class TestParseModification:
                   st.none() | st.floats(0.0, math.pi / 2, exclude_max=True),
                   st.none() | st.floats(0.0, 1e300)),
         st.builds(es.HyperviscositySpec, st.sampled_from([4, 6, 8]),
-                  st.floats(0.0, 1e300), st.integers(0, 8))))
+                  st.floats(0.0, 1e300))))
     def test_inverts_describe(self, spec):
         # rho and eps are drawn independently: both or neither (or identity
         # with rho) is refused, and every spec that is built round-trips
@@ -582,6 +577,17 @@ class TestSnapshots:
         p.write_text("".join(lines[:6]) + lines[6][:5])   # cut mid-row
         with pytest.raises(ValueError, match=r"snap\.txt.*expected 16 rows, "
                                              r"found 5 complete"):
+            es.read_spectrum(p)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text.replace("Nx=2", "Nx=-1"), "Nx=-1 is negative"),
+        (lambda text: text + "5,6\n", "rows beyond its Nx=2"),
+    ], ids=["negative_nx", "extra_row"])
+    def test_refuses_a_bad_row_count(self, tmp_path, edit, message):
+        p = tmp_path / "snap.txt"
+        es.write_spectrum(p, "zds", 40.0, np.array([1 + 2j, 3 - 4j]))
+        p.write_text(edit(p.read_text()))
+        with pytest.raises(ValueError, match=message):
             es.read_spectrum(p)
 
     def test_header_format(self, tmp_path):

@@ -32,7 +32,10 @@ run damped to subnormals reads near 1e-310), then a summary per job.  It
 exits 0 when no record moved or is missing.
 
 The bytes depend on the NumPy build and the CPU, so compare dumps made on
-one host.
+one host.  They also depend on the BLAS thread count (imrk4's stacked stage
+products round with it), so the script runs BLAS on one thread: before
+NumPy is imported it sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to 1 unless the environment already sets them.
 """
 from __future__ import annotations
 
@@ -42,6 +45,10 @@ import json
 import math
 import os
 import sys
+
+if __name__ == "__main__":      # one BLAS thread, set before NumPy loads it
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
 
 import numpy as np
 
