@@ -3,6 +3,7 @@ error tracking, stability maps, and single solves.
 
 A CLI flag wins over a line of the --config key=value file, and `_get`
 casts either once; an option given neither way keeps the `run_*` default.
+A config key must name an option of some command (exit 2 otherwise).
 The library checks every value, and `main` maps any ValueError to exit 2.
 Exit codes: 0 ok, 2 config error, 3 reference build failure or unreadable
 cache entry, 4 every requested run blew up.
@@ -557,6 +558,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args.config) if args.config else {}
+        # a key may name any command's option, so one file serves several
+        unknown = set(cfg).difference(*(vars(p.parse_args([]))
+                                        for p in sub.choices.values()))
+        if unknown:
+            raise ConfigError("config key %s names no option" % ", ".join(
+                map(repr, sorted(unknown))))
         return _dispatch(args, cfg)
     except ReferenceFailure as e:
         print("reference failure: %s" % e, file=sys.stderr)

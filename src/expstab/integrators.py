@@ -451,9 +451,8 @@ def epbm_initialize(problem, y0: np.ndarray, t0: float,
 
     def span(y, t, length):
         hh = length / _STARTUP_SUBSTEPS
-        for _ in range(_STARTUP_SUBSTEPS):
-            y = step_erk4(problem, t, y, hh, phis)
-            t = t + hh
+        for i in range(_STARTUP_SUBSTEPS):
+            y = step_erk4(problem, t + i * hh, y, hh, phis)
         return y
 
     block[0] = span(np.asarray(y0, dtype=np.complex128), t0, r * z[0])
@@ -516,9 +515,13 @@ def integrate_many(problem, method: MethodSpec, y0: np.ndarray,
     step across families.  A row that turns non-finite reports its last
     finite (t, y) and leaves the batch; the others keep stepping.
 
-    The block method takes n+1 composite steps of h: node 1 of the block after
-    step m sits at t0 + (m-1) h, so the endpoint is exact after n+1.  Its
-    startup runs once, on the unmodified problem, and every row starts from
+    Every time comes from a step count, never from a sum of h's: step m is
+    taken at t0 + (m-1) h, the state after it (a sample, or a blown-up
+    row's last finite state) is reported at t0 + (m - lag) h, and a
+    completed run at t1.  The lag is 0, except for the block method, which
+    takes n+1 composite steps of h: node 1 of the block after step m sits
+    at t0 + (m-1) h, so the endpoint is reached after n+1.  Its startup
+    runs once, on the unmodified problem, and every row starts from
     that block: a repartitioned problem is the same equation (so its startup
     values are identical), and integrating the damped variant backward to
     the t0 - h node would overflow.
@@ -583,54 +586,50 @@ def integrate_many(problem, method: MethodSpec, y0: np.ndarray,
 
     samples = [[None] * len(wants) for _ in mods]
     results: list = [None] * len(mods)
+    live = list(range(len(mods)))     # the run of each batch row
 
-    def finish(run, t, y, blowup_step=None):
-        results[run] = IntegrationResult(
-            t=t, y=full(y), ok=blowup_step is None, blowup_step=blowup_step,
-            n_steps=n_steps, h=h, samples=samples[run])
+    def rows(a):        # a batch state's rows, each a full-spectrum copy
+        return full(a.reshape((len(live),) + y0.shape))
+
+    def finish(ends, t, y, blowup_step=None):
+        """The runs of batch rows `ends` end at (t, the batch state y)."""
+        ys = rows(y)
+        for j in ends:
+            results[live[j]] = IntegrationResult(
+                t=t, y=ys[j], ok=blowup_step is None, blowup_step=blowup_step,
+                n_steps=n_steps, h=h, samples=samples[live[j]])
 
     for i in sample_at.get(0, ()):
         for run_samples in samples:
             run_samples[i] = (t0, full(y0))
 
-    live = list(range(len(mods)))     # the run of each batch row
-
-    def rows(a):
-        return a.reshape((len(live),) + y0.shape)
-
     t, y = t0, batch(y0)      # the last finite (time, solution) pair
-    ts, state = t0, y         # the stepper's time and state
+    state, stepped = y, None  # the stepper's state; the batch's problem
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if method.block:
             state = batch(epbm_initialize(problem, y0, t0, h))
             if not np.isfinite(state).all():
-                for run in live:
-                    finish(run, t0, y0, blowup_step=0)
+                finish(range(len(live)), t, y, blowup_step=0)
                 return results
-        stepped = with_diagonals(problem, Ls, dNs)
-        phis = PhiCache(Ls)
         for m in range(1, n_steps + lag + 1):
-            state = method.step(stepped, ts, state, h, phis)
-            ts = ts + h
+            if stepped is None:     # at the start, and after rows leave
+                stepped, phis = with_diagonals(problem, Ls, dNs), PhiCache(Ls)
+            state = method.step(stepped, t0 + (m - 1) * h, state, h, phis)
             if not np.isfinite(state).all():
                 ok = np.isfinite(state).reshape(
                     -1, len(live), y0.size).all(axis=(0, 2))
-                for j in np.flatnonzero(~ok):
-                    finish(live[j], t, rows(y)[j], blowup_step=m)
+                finish(np.flatnonzero(~ok), t, y, blowup_step=m)
                 keep = np.flatnonzero(ok)
                 if keep.size == 0:
                     return results
                 live = [live[j] for j in keep]
                 state = np.take(state, keep, axis=row_axis)
-                Ls = Ls[keep]
+                Ls, stepped = Ls[keep], None
                 dNs = None if dNs is None else dNs[keep]
-                stepped = with_diagonals(problem, Ls, dNs)
-                phis = PhiCache(Ls)
-            t, y = (t0 + (m - 1) * h, state[0]) if method.block else (ts, state)
+            t, y = t0 + (m - lag) * h, state[0] if method.block else state
             for i in sample_at.get(m, ()):
-                snap = full(rows(y))
+                snap = rows(y)
                 for j, run in enumerate(live):
                     samples[run][i] = (t, snap[j])
-    for j, run in enumerate(live):
-        finish(run, t1 if method.block else t, rows(y)[j])
+    finish(range(len(live)), t1, y)
     return results

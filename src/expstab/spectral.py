@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 KDV_DELTA = 0.022           # build_kdv's dispersion coefficient on u_xxx
-HYPERVISCOSITY_POWER = 5    # the power of dt in the hyperviscosity damping
+HYPERVISCOSITY_POWER = 4    # the power of dt in the hyperviscosity damping
 
 
 def _require_power_of_two(nx: int, minimum: int) -> int:
@@ -338,8 +338,20 @@ def repartition_shift(L: np.ndarray, spec: RepartitionSpec,
 
 @dataclass(frozen=True)
 class HyperviscositySpec:
-    """Add artificial dissipation -dt^HYPERVISCOSITY_POWER * gamma * k^m
-    to L (this changes the equation, unlike repartitioning)."""
+    """Add the artificial dissipation
+
+        dL = -dt^HYPERVISCOSITY_POWER * gamma * (k / k_cut)^m
+
+    to L, where k_cut = B dk is the edge of the retained two-thirds band
+    (10.5 on ZDS-128).  Unlike repartitioning, this changes the equation,
+    and the power of dt bounds the change: at every mode the band retains,
+    |dL| <= dt^4 gamma, so the damped equation differs from the true one by
+    O(dt^4) and a fourth-order method run on it still converges at order 4
+    to the undamped solution.  On a coarse step the same term damps the top
+    of the band, where a dispersive |dt L| is largest, by exp(-dt^5 gamma)
+    per step at the band's edge.  Measuring k in units of k_cut makes each
+    mode's damping depend only on its place in the band, so one gamma means
+    the same on any domain and at any Nx."""
     m: int
     gamma: float
 
@@ -358,7 +370,8 @@ class HyperviscositySpec:
             raise ValueError("dt must be positive")
         if problem.grid is None:
             raise ValueError("hyperviscosity needs the problem grid")
-        k = problem.grid.wavenumbers
+        grid = problem.grid
+        k = grid.wavenumbers / (_dealias_for(grid.nx).cut * grid.dk)
         return -((dt ** HYPERVISCOSITY_POWER) * self.gamma * k ** self.m), None
 
 

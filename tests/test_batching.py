@@ -42,14 +42,14 @@ def assert_same_run(got, want):
             assert_close(g[1], w[1])
 
 
-def run_both(problem_name, family, mods=MODS):
+def run_both(problem_name, family, mods=MODS, t0=0.0):
     build, nx, t_end, n = CASES[problem_name]
     prob, u0 = build(nx)
     meth = make_method(family)
-    times = [0.0, t_end / 3, t_end / 2, t_end]
-    batch = integrate_many(prob, meth, u0, (0.0, t_end), n, mods,
-                           sample_times=times)
-    single = [integrate(prob, meth, u0, (0.0, t_end), n, modification=mod,
+    span = (t0, t0 + t_end)
+    times = [t0, t0 + t_end / 3, t0 + t_end / 2, t0 + t_end]
+    batch = integrate_many(prob, meth, u0, span, n, mods, sample_times=times)
+    single = [integrate(prob, meth, u0, span, n, modification=mod,
                         sample_times=times) for mod in mods]
     return batch, single
 
@@ -61,6 +61,27 @@ def test_rows_match_single_runs(problem_name, family):
     assert len(batch) == len(MODS)
     for got, want in zip(batch, single):
         assert_same_run(got, want)
+
+
+@pytest.mark.parametrize("problem_name", sorted(CASES))
+@pytest.mark.parametrize("family", FAMILIES)
+def test_times_come_from_the_step_count(problem_name, family):
+    # no time is a sum of h's: a completed run reports t1, a sample taken
+    # m steps in reports t0 + m h, and a blown-up run the time of its last
+    # finite state (the block method's node 1 lags its steps by one)
+    t0 = 0.5
+    _, _, t_end, n = CASES[problem_name]
+    h = t_end / n
+    lag = 1 if make_method(family).block else 0
+    batch, single = run_both(problem_name, family, t0=t0)
+    for res in batch + single:
+        if res.ok:
+            assert res.t == t0 + t_end
+        else:
+            assert res.t == t0 + max(res.blowup_step - 1 - lag, 0) * h
+        for sample, s in zip(res.samples, (0.0, t_end / 3, t_end / 2, t_end)):
+            if sample is not None:
+                assert sample[0] == t0 + round(s / h) * h
 
 
 def test_row_blowup_leaves_the_other_rows_stepping():

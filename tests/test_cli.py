@@ -555,6 +555,22 @@ class TestMain:
         lines = csv.read_text().splitlines()
         assert [line.split(",")[2] for line in lines[1:]] == ["40", "80"]
 
+    def test_config_key_that_names_no_option(self, tmp_path, monkeypatch,
+                                             capsys):
+        # a flag's spelling (t-end, not t_end) names no option: refused
+        # before any work; a key that only another command takes is allowed
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("EXPSTAB_CACHE_DIR", str(tmp_path / "cache"))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nx = 32\nt-end = 0.1\nresolution = 4x3\n")
+        assert main(["--config", str(cfg), "solve"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: config key 't-end' names no option"]
+        assert os.listdir(tmp_path) == ["run.cfg"]
+        cfg.write_text("nx = 32\nt_end = 0.1\nsteps = 10\nresolution = 4x3\n")
+        assert main(["--config", str(cfg), "solve"]) == 0
+        assert (tmp_path / "solution.txt").exists()
+
     def test_resolution_parse_error(self, tmp_path):
         rc = main(["stability", "--methods", "erk4", "--rho", "0",
                    "--resolution", "600by200", "--out", str(tmp_path)])

@@ -59,6 +59,21 @@ def test_dump_twice_compares_equal(parity, tmp_path, capsys):
     assert moved.startswith("MOVED %s: absR differs by" % records[-1]["id"])
     assert "max|y|" not in moved
 
+    # a record with several moved fields names each of them, in key order
+    fields = records[0]["fields"]
+    t_base = fields["t"]
+    fields["t"] = fields["sample1.t"] = "1"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert parity.main(["compare", str(tmp_path / "a"), str(tmp_path / "b"),
+                        "--rtol", "1e-15"]) == 1
+    moved = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("MOVED %s:" % records[0]["id"])]
+    assert len(moved) == 1
+    assert moved[0].startswith("MOVED %s: sample1.t: %s -> 1; t: %s -> 1; "
+                               "y differs by " % (records[0]["id"], t_base,
+                                                  t_base))
+    assert moved[0].endswith(" relative; baseline max|y| %.3g" % scale)
+
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 

@@ -380,14 +380,27 @@ class TestHyperviscosity:
         spec = es.HyperviscositySpec(8, 1e10)
         dt = 0.02
         mod = modified(spec, prob, dt)
-        k = prob.grid.wavenumbers
-        assert np.allclose(mod.L_diag, prob.L_diag - dt ** 5 * 1e10 * k ** 8,
+        k = prob.grid.wavenumbers / 10.5    # the band's edge, 42 * dk
+        assert np.allclose(mod.L_diag, prob.L_diag - dt ** 4 * 1e10 * k ** 8,
                            rtol=1e-15, atol=0)
         assert mod.nonlinear is prob.nonlinear
         # real, non-positive shift
         shift = mod.L_diag - prob.L_diag
         assert np.max(np.abs(shift.imag)) == 0.0
         assert np.max(shift.real) <= 0.0
+
+    @pytest.mark.parametrize("build, nx", [(es.build_zds, 32),
+                                           (es.build_zds, 128),
+                                           (es.build_kdv, 512)])
+    def test_damps_the_band_edge_by_gamma_dt4(self, build, nx):
+        # k is measured in units of the retained band's edge B dk, so the
+        # damping there is -dt^4 gamma on any domain and at any Nx
+        prob, _ = build(nx)
+        B = nx // 3
+        dL, dN = es.HyperviscositySpec(8, 1e10).diagonals(prob, 0.02)
+        assert dN is None
+        assert dL[B] == dL[-B] == -(0.02 ** 4 * 1e10)
+        assert np.all(np.abs(dL[:B]) < 0.02 ** 4 * 1e10)
 
     def test_zero_gamma_is_identity(self):
         prob, _ = es.build_zds(64)

@@ -27,9 +27,10 @@ keeps the jobs matching any of its fnmatch patterns.
 `compare A B` reads two dumps, A the baseline, and reports each record of B
 as bitwise (every field equal to A's), within R (the same ok, blow-up step
 and times, and each array within R * max|array of A|), or moved; it prints
-the records that moved or are missing, each moved run with A's max|y| (a
-run damped to subnormals reads near 1e-310), then a summary per job.  It
-exits 0 when no record moved or is missing.
+the records that moved or are missing, each moved record with every field
+that moved and, for a run, A's max|y| (a run damped to subnormals reads
+near 1e-310), then a summary per job.  It exits 0 when no record moved or
+is missing.
 
 The bytes depend on the NumPy build and the CPU, so compare dumps made on
 one host.  They also depend on the BLAS thread count (imrk4's stacked stage
@@ -185,21 +186,24 @@ def _array_gap(new: list, base: list) -> float:
 
 
 def classify(base: dict, new: dict, rtol: float) -> tuple:
-    """('bitwise' | 'within' | 'moved', largest relative gap, why)."""
+    """('bitwise' | 'within' | 'moved', largest relative gap, why), where
+    `why` names every field that moved, in key order."""
     if base == new:
         return "bitwise", 0.0, ""
-    worst = 0.0
+    worst, moved = 0.0, []
     for key in sorted(set(base) | set(new)):
         vb, vn = base.get(key), new.get(key)
         if vb == vn:
             continue
-        if not (isinstance(vb, list) and isinstance(vn, list)):
-            return "moved", math.inf, "%s: %s -> %s" % (key, vb, vn)
-        gap = _array_gap(vn, vb)
+        if isinstance(vb, list) and isinstance(vn, list):
+            gap = _array_gap(vn, vb)
+            why = "%s differs by %.3g relative" % (key, gap)
+        else:
+            gap, why = math.inf, "%s: %s -> %s" % (key, vb, vn)
         worst = max(worst, gap)
         if not gap <= rtol:
-            return "moved", gap, "%s differs by %.3g relative" % (key, gap)
-    return "within", worst, ""
+            moved.append(why)
+    return ("moved" if moved else "within"), worst, "; ".join(moved)
 
 
 def compare(a_path, b_path, rtol: float) -> int:
