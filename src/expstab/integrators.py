@@ -1,9 +1,9 @@
 """Time steppers for semilinear diagonal problems y' = L y + N(t, y).
 
-Every stepper maps (t, y) to the y one step later, elementwise on a diagonal
-L (spectral operators or flattened stability grids) for both uses.  Leading
-axes broadcast: a stack of runs that share h steps as one (R, n) state with
-an (R, n) L (`integrate_many`).
+Every stepper, step(problem, t, y, h), maps (t, y) to the y one step later,
+elementwise on a diagonal L (spectral operators or flattened stability
+grids) for both uses.  Leading axes broadcast: a stack of runs that share h
+steps as one (R, n) state with an (R, n) L (`integrate_many`).
 
   erk4      4-stage exponential Runge-Kutta (Krogstad), order 4
   esdc6     exponential spectral deferred correction, 4 Lobatto nodes,
@@ -17,7 +17,8 @@ an (R, n) L (`integrate_many`).
 
 The phi combinations of a step depend on (L, h) alone, so the steppers fold
 them into coefficient arrays built on the first step of each h and memoized
-on the run's PhiCache (its one memo; the tables are not kept): exponential
+on the problem's `phis`, the PhiCache of its own L_diag that every
+DiagonalProblem carries (its one memo; the tables are not kept): exponential
 Euler's phi_0 and h*phi_1; ERK4's Krogstad weights; ESDC6's per-substep
 phi_0 and h_j*phi_1, and its quadrature weights folded into the phi_k as
 one (3, 4, ...) stack, so that four products with the node values give a
@@ -38,7 +39,7 @@ max-norm (tests/test_step_parity.py measures at most 1.1e-15 for ESDC6 and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -65,11 +66,19 @@ class DiagonalProblem:
     A `band` (KdV's B + 1) declares that states are Hermitian and carried by
     modes 0..band-1: every other mode is their conjugate mirror or zero.
     Such a problem's `nonlinear` returns the layout it is given, all Nx
-    modes or the band's, and `integrate_many` steps the band alone."""
+    modes or the band's, and `integrate_many` steps the band alone.
+
+    `phis`, made with the problem, is the PhiCache of its own L_diag: the
+    memo of the phi coefficients every stepper reads.  It would not follow
+    a new L_diag, so another operator is a new problem (`with_diagonals`)."""
     L_diag: np.ndarray
     nonlinear: Callable[[float, np.ndarray], np.ndarray]
     grid: object = None       # spectral.PeriodicGrid
     band: Optional[int] = None
+    phis: PhiCache = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.phis = PhiCache(self.L_diag)
 
 
 def _expand(y: np.ndarray, nx: int) -> np.ndarray:
@@ -195,18 +204,18 @@ _ESDC, _EPBM, _IMRK = esdc_tableau(), epbm_tableau(), imrk_tableau()
 
 
 # --- steppers ----------------------------------------------------------------
-# Every stepper takes (problem, t, y, h, phis) and returns the new y (the
-# block method's: its (5, n) node block).  A family's `_*_coefficients`
-# runs on the first step of each h and copies the table rows it keeps, so
-# that no table outlives it.
+# Every stepper takes (problem, t, y, h) and returns the new y (the block
+# method's: its (5, n) node block).  A family's `_*_coefficients(phis, h)`
+# runs on the first step of each h, through the memo `problem.phis`, and
+# copies the table rows it keeps, so that no table outlives it.
 
 def _exp_euler_coefficients(phis: PhiCache, h) -> tuple:
     values = phis.table(h).values
     return values[0].copy(), h * values[1]
 
 
-def step_exp_euler(problem, t, y, h, phis: PhiCache) -> np.ndarray:
-    E, D = phis.coefficients(_exp_euler_coefficients, h)
+def step_exp_euler(problem, t, y, h) -> np.ndarray:
+    E, D = problem.phis.coefficients(_exp_euler_coefficients, h)
     return E * y + D * problem.nonlinear(t, y)
 
 
@@ -220,11 +229,11 @@ def _erk4_coefficients(phis: PhiCache, h) -> tuple:
             2.0 * p2 - 4.0 * p3, -p2 + 4.0 * p3)
 
 
-def step_erk4(problem, t, y, h, phis: PhiCache) -> np.ndarray:
+def step_erk4(problem, t, y, h) -> np.ndarray:
     """Krogstad exponential RK4; reduces to classical RK4 at L = 0."""
     N = problem.nonlinear
-    e2, e1, a10, a20, a21, a30, a32, b0, b12, b3 = phis.coefficients(
-        _erk4_coefficients, h)
+    e2, e1, a10, a20, a21, a30, a32, b0, b12, b3 = \
+        problem.phis.coefficients(_erk4_coefficients, h)
     e2y, e1y = e2 * y, e1 * y
 
     K0 = N(t, y)
@@ -270,13 +279,13 @@ def _esdc6_quadratures(Nold, Q) -> np.ndarray:
     return G
 
 
-def step_esdc6(problem, t0, y0, h, phis: PhiCache) -> np.ndarray:
+def step_esdc6(problem, t0, y0, h) -> np.ndarray:
     """Exponential-Euler predictor over the three Lobatto substeps, then
     _ESDC_SWEEPS correction sweeps: 4 + 3 * 6 - 1 = 21 N calls, as the
     final sweep skips its unused node-3 value.  A sweep's substep j is
     Y_(j+1) = E_j Y_j + D_j N_j^new + G_j (substep 0: E_0 y0 + G_0)."""
     N = problem.nonlinear
-    E, D, Q = phis.coefficients(_esdc6_coefficients, h)
+    E, D, Q = problem.phis.coefficients(_esdc6_coefficients, h)
     tn = [t0 + h * eta for eta in _ESDC.nodes]
     e0y = E[0] * y0
 
@@ -349,10 +358,10 @@ def _epbm_pass(problem, block, t_base, r, E, P, c, zero) -> np.ndarray:
     return out
 
 
-def step_epbm5(problem, t, block, h, phis: PhiCache) -> np.ndarray:
+def step_epbm5(problem, t, block, h) -> np.ndarray:
     """Two-pass composite step: predictor pass advances the block by h,
     corrector pass rebuilds it about the advanced node 1."""
-    pred, corr = phis.coefficients(_epbm5_coefficients, h)
+    pred, corr = problem.phis.coefficients(_epbm5_coefficients, h)
     mid = _epbm_pass(problem, block, t, h, *pred)
     return _epbm_pass(problem, mid, t + h, h, *corr)
 
@@ -372,7 +381,7 @@ def _imrk4_coefficients(phis: PhiCache, h) -> tuple:
     return denom, C, B
 
 
-def step_imrk4(problem, t, y, h, phis: PhiCache) -> np.ndarray:
+def step_imrk4(problem, t, y, h) -> np.ndarray:
     """Additive RK step: diagonal L solved implicitly, N explicit.  The
     implicit stages share the tableau's diagonal entry `gamma`, so
     one denominator 1 - h gamma L serves every stage (ZeroDivisionError
@@ -381,7 +390,7 @@ def step_imrk4(problem, t, y, h, phis: PhiCache) -> np.ndarray:
     one product C[i, :2i] @ K[:2i], and the update B @ K."""
     L = problem.L_diag
     N = problem.nonlinear
-    denom, C, B = phis.coefficients(_imrk4_coefficients, h)
+    denom, C, B = problem.phis.coefficients(_imrk4_coefficients, h)
     K = np.empty((12,) + y.shape, dtype=np.complex128)
     Kf = K.reshape(12, -1)
     np.multiply(L, y, out=K[0])
@@ -397,7 +406,7 @@ def step_imrk4(problem, t, y, h, phis: PhiCache) -> np.ndarray:
     return y1
 
 
-def step_rk4(problem, t, y, h, phis: PhiCache) -> np.ndarray:
+def step_rk4(problem, t, y, h) -> np.ndarray:
     L = problem.L_diag
     N = problem.nonlinear
     f = lambda tt, yy: L * yy + N(tt, yy)
@@ -444,15 +453,15 @@ def epbm_initialize(problem, y0: np.ndarray, t0: float,
     of the problem itself, _STARTUP_SUBSTEPS steps per span: node 1 (t0 - r)
     backward from y0 (negative steps), then each node gap forward.
     Exponential sub-stepping keeps the startup stable for arbitrarily stiff
-    diagonal L, where an explicit bridge would need a prohibitive count."""
+    diagonal L, where an explicit bridge would need a prohibitive count.
+    The sub-steps' coefficients are memoized on `problem.phis`."""
     z = _EPBM.z
     block = np.empty((5,) + y0.shape, dtype=np.complex128)
-    phis = PhiCache(problem.L_diag)
 
     def span(y, t, length):
         hh = length / _STARTUP_SUBSTEPS
         for i in range(_STARTUP_SUBSTEPS):
-            y = step_erk4(problem, t + i * hh, y, hh, phis)
+            y = step_erk4(problem, t + i * hh, y, hh)
         return y
 
     block[0] = span(np.asarray(y0, dtype=np.complex128), t0, r * z[0])
@@ -501,7 +510,7 @@ def integrate_many(problem, method: MethodSpec, y0: np.ndarray,
                    ) -> list[IntegrationResult]:
     """Fixed-step integration with blow-up detection and nearest-step
     sampling, one run per entry of `modifications`, all from y0 with one h.
-    The span and every sample time must be finite (ValueError before any
+    The span, y0 and every sample time must be finite (ValueError before any
     step); a sample time outside [t0, t1] is taken at the nearer end.
 
     Each modification (a spectral.RepartitionSpec or HyperviscositySpec, or
@@ -510,10 +519,11 @@ def integrate_many(problem, method: MethodSpec, y0: np.ndarray,
     nonlinear call per stage serves every row, so `problem.nonlinear` must
     act on each row alone (checked on a two-row probe before any step,
     ValueError otherwise).  A single run, as in every run of zds_ladder,
-    steps its own unstacked arrays: a 1-row stack cost about 8% more per N
-    call on ZDS-128 and KdV-512 (28.5 against 26.6 us) and 2-10% more per
-    step across families.  A row that turns non-finite reports its last
-    finite (t, y) and leaves the batch; the others keep stepping.
+    steps its own unstacked arrays: on ZDS-128 and the KdV-512 band, a 1-row
+    stack cost 5-8% more per N call (9.6 against 8.9 us, 9.7 against 9.2)
+    and 5-9% more per step across families (the least of 3x3 interleaved
+    repeats of 150 steps, one core).  A row that turns non-finite reports
+    its last finite (t, y) and leaves the batch; the others keep stepping.
 
     Every time comes from a step count, never from a sum of h's: step m is
     taken at t0 + (m-1) h, the state after it (a sample, or a blown-up
@@ -521,10 +531,11 @@ def integrate_many(problem, method: MethodSpec, y0: np.ndarray,
     completed run at t1.  The lag is 0, except for the block method, which
     takes n+1 composite steps of h: node 1 of the block after step m sits
     at t0 + (m-1) h, so the endpoint is reached after n+1.  Its startup
-    runs once, on the unmodified problem, and every row starts from
-    that block: a repartitioned problem is the same equation (so its startup
-    values are identical), and integrating the damped variant backward to
-    the t0 - h node would overflow.
+    runs once, on a copy of the unmodified problem (the caller's keeps no
+    startup coefficients), and every row starts from that block: a
+    repartitioned problem is the same equation (so its startup values are
+    identical), and integrating the damped variant backward to the t0 - h
+    node would overflow.
 
     A problem with a `band` (KdV) steps modes 0..band-1 alone: y0 must be
     exactly their Hermitian expansion (ValueError before any step), L and
@@ -543,6 +554,9 @@ def integrate_many(problem, method: MethodSpec, y0: np.ndarray,
     if y0.shape != np.shape(L):
         raise ValueError("y0 has shape %s, L_diag has shape %s"
                          % (y0.shape, np.shape(L)))
+    if not np.isfinite(y0).all():
+        i = np.flatnonzero(~np.isfinite(y0))[0]
+        raise ValueError("y0 is not finite: entry %d is %r" % (i, y0.flat[i]))
     mods = list(modifications)
     if not mods:
         raise ValueError("need at least one modification (None: unmodified)")
@@ -570,8 +584,8 @@ def integrate_many(problem, method: MethodSpec, y0: np.ndarray,
         pairs = [tuple(None if d is None else d[..., :band] for d in pair)
                  for pair in pairs]
         y0, L = y0[..., :band], L[..., :band]
-        problem = with_diagonals(problem, L)
         full = lambda a: _expand(a, nx)
+    problem = with_diagonals(problem, L)    # startup memo: not the caller's
     Ls = [L if dL is None else L + dL for dL, _ in pairs]
     dNs = [dN for _, dN in pairs]
     row_axis = -1 - y0.ndim     # the run axis of a batch's (block) state
@@ -613,8 +627,8 @@ def integrate_many(problem, method: MethodSpec, y0: np.ndarray,
                 return results
         for m in range(1, n_steps + lag + 1):
             if stepped is None:     # at the start, and after rows leave
-                stepped, phis = with_diagonals(problem, Ls, dNs), PhiCache(Ls)
-            state = method.step(stepped, t0 + (m - 1) * h, state, h, phis)
+                stepped = with_diagonals(problem, Ls, dNs)
+            state = method.step(stepped, t0 + (m - 1) * h, state, h)
             if not np.isfinite(state).all():
                 ok = np.isfinite(state).reshape(
                     -1, len(live), y0.size).all(axis=(0, 2))

@@ -11,8 +11,10 @@ A `PhiCache` has one memo, of what steppers derive from the tables: each
 stepper folds its per-step phi combinations (exponential Euler's phi_0 and
 h*phi_1, the Krogstad weights, the deferred-correction quadrature products,
 the block method's node propagators) into coefficient arrays, built on the
-first step of each h (`PhiCache.coefficients`).  Tables are transient: one
-is built for each request, while those arrays are built, and not kept.
+first step of each h (`PhiCache.coefficients`).  Each problem carries the
+PhiCache of its own operator (`DiagonalProblem.phis`).  Tables are
+transient: one is built for each request, while those arrays are built, and
+not kept.  One cap, `_MAX_INDEX` = 8, bounds phi_table's K and phi_scalar's k.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ __all__ = ["phi_scalar", "phi_table", "PhiTable", "PhiCache"]
 # cancel for Re z < 0: at z = -7.5 its 60 terms lose 7.9e-11 relative.
 _SERIES_RADIUS = 8.0
 _SERIES_TERMS = 60
-_MAX_INDEX = 16
+_MAX_INDEX = 8
 
 _INV_FACT = np.array([1.0 / math.factorial(j)
                       for j in range(_SERIES_TERMS + _MAX_INDEX + 1)])
@@ -67,9 +69,9 @@ def _phi_block(z, kmax):
 
 
 def phi_scalar(k: int, z: complex) -> complex:
-    """phi_k(z) for a single complex argument, k in 0..8."""
-    if not isinstance(k, (int, np.integer)) or k < 0 or k > 8:
-        raise ValueError("phi index must be an integer in 0..8")
+    """phi_k(z) for a single complex argument, k in 0.._MAX_INDEX."""
+    if not isinstance(k, (int, np.integer)) or k < 0 or k > _MAX_INDEX:
+        raise ValueError("phi index must be an integer in 0..%d" % _MAX_INDEX)
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError("invalid argument")

@@ -12,15 +12,16 @@ eps*D = -tan(rho)*|k1| moves from the explicit slot into the linear one,
 which rotates the linear eigenvalue by rho into the left half-plane.
 
 Every probe builds that problem as a DiagonalProblem and executes literal
-steps of the method's production stepper, `MethodSpec.step(problem, t, y, h,
-phis)`, from t=0.  One-step methods are probed by one h=1 step from
-y=1; the block method gets a 5x5 transfer matrix, one composite step of each
+steps of the method's production stepper, `MethodSpec.step(problem, t, y,
+h)`, from t=0, on the phi coefficients memoized on the problem
+(`problem.phis`).  One-step methods are probed by one h=1 step from y=1;
+the block method gets a 5x5 transfer matrix, one composite step of each
 basis block, whose spectral radius decides stability (`region_grid`
 classifies every method by radius alone; `power_bounded_classification` is
 a separate check of a single matrix's powers, which no grid calls).  A
-(k1, k2) grid is one problem broadcast from a k1
-column and a k2 row: L depends on k1 alone, so its phi tables hold one entry
-per distinct k1 while the state holds one per grid point.
+(k1, k2) grid is one problem broadcast from a k1 column and a k2 row: L
+depends on k1 alone, so its phi tables hold one entry per distinct k1 while
+the state holds one per grid point.
 
 Spectral radii come from one private helper, `_spectral_radii`, a batched
 port of LAPACK's zlahqr: chunks of 4096 matrices, stored batch-last, are
@@ -46,7 +47,6 @@ from .integrators import DiagonalProblem, MethodSpec
 # only for that lookup.
 from .integrators import (step_erk4, step_esdc6, step_epbm5,  # noqa: F401
                           step_exp_euler, step_imrk4, step_rk4)
-from .phicore import PhiCache
 from .spectral import RepartitionSpec, repartition_shift
 
 __all__ = [
@@ -86,8 +86,8 @@ def _probe(method: MethodSpec, k1, k2,
     (k1, k2) arrays broadcast together, repartitioned by `angle` (None is
     the angle 0): R from y=1 for a one-step method, and for the block method
     the (..., 5, 5) transfer matrices, whose column j is the composite step
-    of the j-th basis block.  L has the shape of k1, and so do its phi
-    tables, which every step and column share."""
+    of the j-th basis block.  L has the shape of k1, and so do the phi
+    coefficients on `problem.phis`, which every step and column share."""
     if angle is None:
         angle = RepartitionAngle(0.0)
     if angle.kind != "abs_k3":
@@ -97,16 +97,14 @@ def _probe(method: MethodSpec, k1, k2,
     shift = repartition_shift(L, angle)
     z2 = 1j * k2 - shift
     problem = DiagonalProblem(L_diag=L + shift, nonlinear=lambda t, y: z2 * y)
-    phis = PhiCache(problem.L_diag)
     if not method.block:
         y = np.ones(z2.shape, dtype=np.complex128)
-        return method.step(problem, 0.0, y, 1.0, phis)
+        return method.step(problem, 0.0, y, 1.0)
     M = np.empty(z2.shape + (5, 5), dtype=np.complex128)
     for col in range(5):
         block = np.zeros((5,) + z2.shape, dtype=np.complex128)
         block[col] = 1.0
-        M[..., col] = np.moveaxis(method.step(problem, 0.0, block, 1.0, phis),
-                                  0, -1)
+        M[..., col] = np.moveaxis(method.step(problem, 0.0, block, 1.0), 0, -1)
     return M
 
 

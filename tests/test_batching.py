@@ -166,6 +166,27 @@ def test_rejects_nonfinite_sample_times_before_any_step(bad, rows):
     assert calls == []
 
 
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("family", ["erk4", "epbm5"])
+@pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.inf)])
+@pytest.mark.parametrize("problem_name", ["zds", "kdv"])
+def test_rejects_a_nonfinite_y0_before_any_step(problem_name, bad, family,
+                                                rows):
+    # refused for what it is before any step: stepped, it would come back
+    # as a blow-up at t = 0, and KdV's band check would misname it
+    build, nx = CASES[problem_name][:2]
+    base, u0 = build(nx)
+    calls = []
+    prob = dataclasses.replace(
+        base, nonlinear=lambda t, y: calls.append(t) or base.nonlinear(t, y))
+    y0 = u0.copy()
+    y0[3] = bad
+    with pytest.raises(ValueError, match="y0 is not finite: entry 3 is"):
+        integrate_many(prob, make_method(family), y0, (0.0, 1.0), 10,
+                       MODS[:rows])
+    assert calls == []
+
+
 @pytest.mark.parametrize("mode, mirror", [(2, False), (40, True)],
                          ids=["not_hermitian", "above_the_band"])
 def test_rejects_a_kdv_y0_off_its_band_before_any_step(mode, mirror):

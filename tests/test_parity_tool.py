@@ -3,9 +3,11 @@ compares equal record for record, a changed value is reported, and the
 script's dumps do not depend on the BLAS thread count."""
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -73,6 +75,16 @@ def test_dump_twice_compares_equal(parity, tmp_path, capsys):
                                "y differs by " % (records[0]["id"], t_base,
                                                   t_base))
     assert moved[0].endswith(" relative; baseline max|y| %.3g" % scale)
+
+
+def test_gap_over_a_subnormal_baseline_is_inf_without_a_warning(parity):
+    # a run damped to subnormals: 1.0 against 1e-310 overflows the
+    # relative gap, which reads inf (moved) and warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert parity._array_gap(["1.0"], ["1e-310"]) == math.inf
+        assert parity.classify({"y": ["1e-310"]}, {"y": ["1.0"]},
+                               1e-14)[0] == "moved"
 
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -182,3 +182,14 @@ def test_phi_table_negative_step():
         for j, lam in enumerate(L):
             want = phi_scalar(k, -0.05 * lam)
             assert abs(table.values[k, j] - want) <= 1e-13 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("K", [4, 8])
+def test_phi_table_takes_orders_4_to_8(K):
+    assert phi_table(np.array([1j, -2.0]), 0.1, K=K).values.shape == (K + 1, 2)
+
+
+def test_phi_table_refuses_an_order_above_8():
+    # phi_table's cap is phi_scalar's: no caller asks for more than 6
+    with pytest.raises(ValueError, match=r"4\.\.8"):
+        phi_table(np.array([1j]), 0.1, K=9)

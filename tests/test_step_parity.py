@@ -313,14 +313,15 @@ TABLEAUX = {"esdc6": es.esdc_tableau(), "epbm5": es.epbm_tableau(),
 
 
 def step_both(family, problem, y, h, n_steps=3):
-    """n_steps steps of the library and of the oracle, each on its own
-    trajectory and its own PhiCache, from (0, y)."""
+    """n_steps steps of the library (on the problem's own memo) and of the
+    oracle (on a PhiCache of its own), each on its own trajectory, from
+    (0, y)."""
     meth = make_method(family)
     oracle = step_oracle.STEPS[family]
-    phis, phis_o = PhiCache(problem.L_diag), PhiCache(problem.L_diag)
+    phis_o = PhiCache(problem.L_diag)
     got, want = y, y
     for m in range(n_steps):
-        got = meth.step(problem, m * h, got, h, phis)
+        got = meth.step(problem, m * h, got, h)
         want = oracle(problem, m * h, want, h, phis_o, TABLEAUX.get(family))
     return got, want
 
@@ -395,15 +396,14 @@ def test_memo_is_keyed_by_operator():
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_one_cache_serves_two_step_sizes(family):
-    # stepping at h1, then h2, then h1 again on one PhiCache gives what
-    # fresh caches give
+    # stepping at h1, then h2, then h1 again on one problem's memo gives
+    # what fresh problems, each with a fresh memo, give
     prob, u0 = es.build_zds(32)
     meth = make_method(family)
     y = start_state(prob, family, u0, 0.1)
-    shared = PhiCache(prob.L_diag)
     for h in (0.1, 0.05, 0.1):
-        got = meth.step(prob, 0.0, y, h, shared)
-        want = meth.step(prob, 0.0, y, h, PhiCache(prob.L_diag))
+        got = meth.step(prob, 0.0, y, h)
+        want = meth.step(dataclasses.replace(prob), 0.0, y, h)
         assert np.array_equal(got, want)
 
 
@@ -434,17 +434,39 @@ def test_tables_are_requested_only_on_the_first_step_of_each_h(family):
     prob, u0 = es.build_zds(32)
     meth = make_method(family)
     y = start_state(prob, family, u0, 0.1)
-    phis = CountingCache(prob.L_diag)
+    prob.phis = phis = CountingCache(prob.L_diag)
     counts = []
     for h in (0.1, 0.1, 0.1, 0.05, 0.05, 0.1):
         before = phis.requests
-        meth.step(prob, 0.0, y, h, phis)
+        meth.step(prob, 0.0, y, h)
         counts.append(phis.requests - before)
     n = TABLES_PER_BUILD[family]
     assert counts == [n, 0, 0, n, 0, 0]
     # no table outlives the coefficients drawn from it
     gc.collect()
     assert [ref() for ref in phis.values] == [None] * 2 * n
+
+
+def test_each_problem_carries_the_memo_of_its_own_operator():
+    prob, _ = es.build_zds(32)
+    assert np.array_equal(prob.phis.L_diag, prob.L_diag)
+    other = with_diagonals(prob, prob.L_diag - 0.5)
+    assert np.array_equal(other.phis.L_diag, prob.L_diag - 0.5)
+    # a copy gets a fresh memo; the memo is in neither repr nor ==
+    copy = dataclasses.replace(prob)
+    assert copy.phis is not prob.phis and copy == prob
+    assert "phis" not in repr(prob)
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("family", ["erk4", "epbm5"])
+def test_integrate_many_leaves_the_callers_memo_empty(family, rows):
+    # the runs and the block method's startup step problems of their own
+    prob, u0 = es.build_zds(32)
+    prob.phis = phis = CountingCache(prob.L_diag)
+    integrate_many(prob, make_method(family), u0, (0.0, 1.0), 10,
+                   MODS[:rows])
+    assert phis.requests == 0
 
 
 @pytest.mark.parametrize("family", FAMILIES)

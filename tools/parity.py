@@ -182,7 +182,8 @@ def _array_gap(new: list, base: list) -> float:
         return 0.0
     scale = _max_abs(y)
     gap = np.max(np.abs(x[~same] - y[~same]))
-    return gap / scale if scale > 0 else math.inf
+    with np.errstate(over="ignore"):    # a subnormal scale: the gap is inf
+        return gap / scale if scale > 0 else math.inf
 
 
 def classify(base: dict, new: dict, rtol: float) -> tuple:
