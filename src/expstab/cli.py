@@ -27,8 +27,8 @@ import numpy as np
 
 from .integrators import (FAMILIES, METHODS, make_method, integrate,
                           integrate_many)
-from .spectral import (REPARTITION_KINDS, build_zds, build_kdv, parse_angle,
-                       parse_modification, write_spectrum, read_spectrum)
+from .spectral import (build_zds, build_kdv, parse_angle, parse_modification,
+                       write_spectrum, read_spectrum)
 from . import stability as stab
 
 __all__ = [
@@ -277,11 +277,11 @@ def _check_workers(workers) -> None:
 
 
 def _check_out_file(path) -> None:
-    """An output file goes into an existing directory and is not one; no
-    missing directory is made for it."""
-    if path and (os.path.isdir(path)
-                 or not os.path.isdir(os.path.dirname(path) or ".")):
-        raise ConfigError("cannot write %s: not a file in an existing "
+    """An output file (None: none) is named, goes into an existing directory
+    and is not one; no missing directory is made for it."""
+    if path is not None and (not os.fspath(path) or os.path.isdir(path) or
+                             not os.path.isdir(os.path.dirname(path) or ".")):
+        raise ConfigError("cannot write %r: not a file in an existing "
                           "directory" % (os.fspath(path),))
 
 
@@ -410,8 +410,9 @@ def run_stability_maps(methods: Sequence[str], rhos: Sequence[float],
     angles = [stab.RepartitionAngle(rho) for rho in rhos]
     _check_distinct("angle", rhos, _fmt)
     n1 = stab.check_resolution(resolution)[0]
-    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
-        raise ConfigError("output %s is not a directory"
+    if not os.fspath(out_dir) or (os.path.exists(out_dir)
+                                  and not os.path.isdir(out_dir)):
+        raise ConfigError("output %r is not a directory"
                           % (os.fspath(out_dir),))
     paths = []
     for m in methods:
@@ -485,25 +486,13 @@ def _resolution(s: str) -> tuple:
 def _runs(s: str) -> list:
     """'method[:modification];..' as (method, modification) pairs."""
     items = [i.partition(":") for i in map(str.strip, s.split(";")) if i]
-    return [(name, parse_modification(spec or "none"))
-            for name, _, spec in items]
+    return [(name, parse_modification(spec) if colon else None)
+            for name, colon, spec in items]
 
 
 def _given(**options) -> dict:
     """The options that were given; the others keep the library defaults."""
     return {key: val for key, val in options.items() if val is not None}
-
-
-def _build_modification(args, cfg):
-    """--repartition KIND:.. or --hyperviscosity M:GAMMA as one spec."""
-    rep_s = _get(args, cfg, "repartition")
-    hyper_s = _get(args, cfg, "hyperviscosity")
-    if rep_s and hyper_s:
-        raise ConfigError("at most one of repartition/hyperviscosity")
-    if rep_s and rep_s.split(":")[0].strip() not in REPARTITION_KINDS:
-        raise ConfigError("not a repartition: %r" % (rep_s,))
-    spec = "hyperviscosity:" + hyper_s if hyper_s else rep_s or "none"
-    return _cast("modification", spec, parse_modification)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -517,8 +506,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     run.add_argument("--nx")
     run.add_argument("--t-end")
     modified = argparse.ArgumentParser(add_help=False, parents=[run])
-    modified.add_argument("--repartition", help="kind:rho=<angle>|eps=<value>")
-    modified.add_argument("--hyperviscosity", help="m:gamma")
+    modified.add_argument("--modification", help="none|kind:key=value[:...]")
     study = argparse.ArgumentParser(add_help=False)  # converge and longtime
     study.add_argument("--ref-method")
     study.add_argument("--ref-steps")
@@ -595,7 +583,8 @@ def _dispatch(args, cfg) -> int:
 
     if cmd == "converge":
         records = run_convergence(
-            modification=_build_modification(args, cfg), **study,
+            modification=get("modification", None, parse_modification),
+            **study,
             **_given(methods=get("methods", None, _list_of(str)),
                      steps=get("steps", None, _list_of(int))))
         return (EXIT_ALL_BLOWUP if all(r.status == "blowup" for r in records)
@@ -617,7 +606,7 @@ def _dispatch(args, cfg) -> int:
             method=get("method", "erk4"),
             n_steps=get("steps", 1000, int),
             t_end=get("t_end", 40.0, float),
-            modification=_build_modification(args, cfg),
+            modification=get("modification", None, parse_modification),
             out_path=get("out", "solution.txt"))
         return EXIT_OK if res["ok"] else EXIT_ALL_BLOWUP
 

@@ -510,8 +510,9 @@ def integrate_many(problem, method: MethodSpec, y0: np.ndarray,
                    ) -> list[IntegrationResult]:
     """Fixed-step integration with blow-up detection and nearest-step
     sampling, one run per entry of `modifications`, all from y0 with one h.
-    The span, y0 and every sample time must be finite (ValueError before any
-    step); a sample time outside [t0, t1] is taken at the nearer end.
+    The span, y0 and every sample time must be finite, and h = (t1 - t0) /
+    n_steps positive and finite (ValueError before any step); a sample time
+    outside [t0, t1] is clamped to the nearer end before it is divided by h.
 
     Each modification (a spectral.RepartitionSpec or HyperviscositySpec, or
     None) is a pair of diagonals `modification.diagonals(problem, h)`; the
@@ -564,6 +565,9 @@ def integrate_many(problem, method: MethodSpec, y0: np.ndarray,
         if mod is not None and not hasattr(mod, "diagonals"):
             raise ValueError("modification %r has no diagonals()" % (mod,))
     h = (t1 - t0) / n_steps
+    if not 0 < h < math.inf:
+        raise ValueError("step size %r of t_span %r over %d steps is not "
+                         "positive and finite" % (h, (t0, t1), n_steps))
     lag = 1 if method.block else 0
     # map each requested sample time to the step whose output is nearest
     wants = [] if sample_times is None else [float(s) for s in sample_times]
@@ -571,7 +575,7 @@ def integrate_many(problem, method: MethodSpec, y0: np.ndarray,
     for i, s in enumerate(wants):
         if not math.isfinite(s):
             raise ValueError("sample time %r is not finite" % (s,))
-        m = min(max(int(round((s - t0) / h)), 0), n_steps) + lag
+        m = int(round((min(max(s, t0), t1) - t0) / h)) + lag
         sample_at.setdefault(m, []).append(i)
     pairs = [(None, None) if mod is None else mod.diagonals(problem, h)
              for mod in mods]

@@ -388,29 +388,28 @@ def parse_angle(s: str) -> float:
     raise ValueError("cannot parse angle: %r" % (s,))
 
 
-# field names of each modification kind, in positional order
-_FIELDS = {"hyperviscosity": ("m", "gamma"), "identity": ("eps",)}
 _CASTS = {"m": int, "gamma": float, "eps": float, "rho": parse_angle}
 
 
 def parse_modification(s: str):
-    """Inverse of `describe()`: 'none' is None, otherwise 'kind:field:..'
-    with keyed fields ('rho=pi/64', 'eps=8', 'm=8', 'gamma=1e10') or
-    bare ones named by position: 'hyperviscosity:m:gamma',
-    'identity:eps' and 'abs_k3:rho' / 'k2:rho'."""
+    """Inverse of `describe()`, and the one spelling of a modification:
+    'none' is None, anything else 'kind:key=value[:key=value]' with each
+    field keyed and given once: 'abs_k3:rho=pi/64', 'k2:eps=0.5' (rho or
+    eps), 'identity:eps=8' or 'hyperviscosity:m=8:gamma=1e10'."""
     s = s.strip()
     if s == "none":
         return None
     kind, *fields = s.split(":")
-    names = _FIELDS.get(kind, ("rho", "eps"))
+    if kind not in REPARTITION_KINDS + ("hyperviscosity",):
+        raise ValueError("unknown modification kind %r in %r" % (kind, s))
+    names = ("m", "gamma") if kind == "hyperviscosity" else ("rho", "eps")
     vals = {}
-    for i, field in enumerate(f for f in fields if f):
-        key, _, val = field.rpartition("=")
-        if key and key not in names:
+    for field in fields:
+        key, eq, val = field.partition("=")
+        if not eq:
+            raise ValueError("field %r in %r is not key=value" % (field, s))
+        if key not in names:
             raise ValueError("unknown field %r in %r" % (key, s))
-        if i >= len(names):
-            raise ValueError("too many fields in %r" % (s,))
-        key = key or names[i]
         if key in vals:
             raise ValueError("field %r given twice in %r" % (key, s))
         vals[key] = _CASTS[key](val)
@@ -418,7 +417,7 @@ def parse_modification(s: str):
         return RepartitionSpec(kind, rho=vals.get("rho"),
                                epsilon=vals.get("eps"))
     if "m" not in vals or "gamma" not in vals:
-        raise ValueError("hyperviscosity needs m and gamma (m:gamma)")
+        raise ValueError("hyperviscosity needs m and gamma: %r" % (s,))
     return HyperviscositySpec(**vals)
 
 

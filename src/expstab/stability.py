@@ -166,12 +166,19 @@ def _csqrt(z: np.ndarray) -> np.ndarray:
 def _hessenberg(H: np.ndarray) -> None:
     """Reduce every lane of H (n, n, b) to upper Hessenberg form in place, by
     Householder reflectors I - tau v v^H that map column k below the
-    diagonal to beta e_1 (the identity for a column that is already 0)."""
+    diagonal to beta e_1 (the identity for a column that is already 0).
+    H's largest entry is at least 1/2 (see `_chunk_radii`), so a column
+    whose entries all lie below _SAFMIN is dropped to 0, as the entries
+    below _SAFMIN were before the reduction: its 1/s would overflow."""
     n = H.shape[0]
     for k in range(n - 2):
         x = H[k + 1:, k]
         # |x0| and ||x|| from x scaled to entries near 1: no underflow
         s = np.maximum(np.abs(x.real), np.abs(x.imag)).max(axis=0)
+        tiny = s < _SAFMIN
+        if tiny.any():
+            x[:, tiny] = 0.0
+            s[tiny] = 0.0
         inv = np.divide(1.0, s, out=np.ones_like(s), where=s > 0)
         ax0 = s * np.sqrt(_abs2(x[0] * inv))
         norm = s * np.sqrt(_abs2(x * inv).sum(axis=0))

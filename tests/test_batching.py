@@ -168,6 +168,34 @@ def test_rejects_nonfinite_sample_times_before_any_step(bad, rows):
 
 @pytest.mark.parametrize("rows", [1, 2])
 @pytest.mark.parametrize("family", ["erk4", "epbm5"])
+def test_far_sample_times_are_clamped_to_the_span(family, rows):
+    # a finite time whose quotient by h overflows is taken at the nearer
+    # end, as a near one is; an in-range time keeps its step
+    prob, u0 = es.build_zds(32)
+    meth = make_method(family)
+    runs = integrate_many(prob, meth, u0, (0.0, 1.0), 1000, MODS[:rows],
+                          sample_times=[1e308, -1e308, 0.5, -0.1, 1.1])
+    ends = integrate_many(prob, meth, u0, (0.0, 1.0), 1000, MODS[:rows],
+                          sample_times=[1.0, 0.0, 0.5, 0.0, 1.0])
+    for got, want in zip(runs, ends):
+        assert [t for t, _ in got.samples] == [1.0, 0.0, 0.5, 0.0, 1.0]
+        assert_same_run(got, want)
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("family", ["rk4", "erk4", "epbm5"])
+def test_rejects_an_infinite_step_before_any_step(family, rows):
+    # a finite span can still give h = inf: refused for what it is, not as
+    # a blow-up at step 1 (rk4) or from deep inside a phi table
+    prob, u0, calls = counted_zds()
+    with pytest.raises(ValueError, match="not positive and finite"):
+        integrate_many(prob, make_method(family), u0, (-1e308, 1e308), 10,
+                       MODS[:rows])
+    assert calls == []
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("family", ["erk4", "epbm5"])
 @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.inf)])
 @pytest.mark.parametrize("problem_name", ["zds", "kdv"])
 def test_rejects_a_nonfinite_y0_before_any_step(problem_name, bad, family,

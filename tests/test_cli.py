@@ -1,5 +1,6 @@
 """Tests for the experiment harness: parsing, the reference cache, the run
 drivers, CSV outputs, and exit codes."""
+import importlib.util
 import math
 import os
 import shutil
@@ -9,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import expstab as es
 import expstab.cli as cli
 from expstab import HyperviscositySpec, RepartitionSpec, read_spectrum
 from expstab.cli import (
@@ -29,38 +31,75 @@ BLOWUP_ARGS = ("zds", 32, "rk4", 40, 40.0)   # h = 1 on |L| up to 64: diverges
 # --- parsing --------------------------------------------------------------------
 
 class TestModificationFlags:
-    """The grammar itself is tested with spectral.parse_modification; these
-    are the flags' own rules, with errors raised as ConfigError."""
+    """converge and solve take one flag, --modification, with the text that
+    describe() prints (the grammar itself is tested with
+    spectral.parse_modification); a bad one is a config error."""
 
     @staticmethod
-    def build(repartition=None, hyperviscosity=None, cfg=None):
-        import argparse
-        args = argparse.Namespace(repartition=repartition,
-                                  hyperviscosity=hyperviscosity)
-        return cli._build_modification(args, cfg or {})
+    def dispatch(monkeypatch, capsys, argv):
+        """main's exit code and the modification it hands run_solve."""
+        given = {}
 
-    def test_forms(self):
-        assert self.build() is None
-        assert self.build("abs_k3:rho=pi/64") == RepartitionSpec(
-            "abs_k3", rho=math.pi / 64)
-        assert self.build("identity:16").epsilon == 16.0
-        # --hyperviscosity takes m:gamma without the kind prefix
-        assert self.build(hyperviscosity="m=8:gamma=1e10") \
-            == HyperviscositySpec(8, 1e10)
-        assert self.build(hyperviscosity="4:1e6") == HyperviscositySpec(4, 1e6)
-        assert self.build(cfg={"hyperviscosity": "6:1"}) \
-            == HyperviscositySpec(6, 1.0)
+        def record(**options):
+            given.update(options)
+            return {"ok": True}
+        monkeypatch.setattr(cli, "run_solve", record)
+        rc = main(argv)
+        if rc:
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("config error: ")
+        return rc, given.get("modification")
 
-    @pytest.mark.parametrize("rep, hyper", [
+    @pytest.mark.parametrize("command", ["converge", "solve"])
+    def test_help_lists_one_flag(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = capsys.readouterr().out
+        assert "--modification" in out
+        assert "--repartition" not in out and "--hyperviscosity" not in out
+
+    def test_forms(self, tmp_path, monkeypatch, capsys):
+        assert self.dispatch(monkeypatch, capsys, ["solve"]) == (0, None)
+        for text, spec in [
+                ("none", None),
+                ("abs_k3:rho=pi/64", RepartitionSpec("abs_k3",
+                                                     rho=math.pi / 64)),
+                ("identity:eps=16", RepartitionSpec("identity", epsilon=16.0)),
+                ("hyperviscosity:m=8:gamma=1e10", HyperviscositySpec(8, 1e10))]:
+            assert self.dispatch(monkeypatch, capsys, [
+                "solve", "--modification", text]) == (0, spec)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("modification = hyperviscosity:m=6:gamma=1\n")
+        assert self.dispatch(monkeypatch, capsys, [
+            "--config", str(cfg), "solve"]) == (0, HyperviscositySpec(6, 1.0))
+
+    @pytest.mark.parametrize("flag, config", [
         ("abs_k3", None), ("bogus:rho=0.1", None), ("k2:two", None),
-        ("hyperviscosity:8:1e10", None), ("none", None),
-        (None, "8"), (None, "5:1.0"),
-        ("identity:1", "8:1e10"),
+        ("hyperviscosity:8:1e10", None), ("identity:16", None), ("", None),
+        (None, "8"), (None, "5:1.0"), (None, "m=8:gamma=1e10"),
+        (None, "hyperviscosity:m=5:gamma=1"),
         ("identity:rho=0.3", None),     # identity takes eps only
     ])
-    def test_rejects(self, rep, hyper):
-        with pytest.raises(ConfigError):
-            self.build(rep, hyper)
+    def test_rejects(self, tmp_path, monkeypatch, capsys, flag, config):
+        # the text as a --modification flag, or as a config line
+        argv = ["solve"]
+        if flag is not None:
+            argv += ["--modification", flag]
+        if config is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("modification = %s\n" % config)
+            argv = ["--config", str(cfg)] + argv
+        assert self.dispatch(monkeypatch, capsys, argv) == (2, None)
+
+    @pytest.mark.parametrize("key", ["repartition", "hyperviscosity"])
+    def test_old_config_keys_name_no_option(self, tmp_path, monkeypatch,
+                                             capsys, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("%s = abs_k3:rho=pi/64\n" % key)
+        monkeypatch.setattr(cli, "run_solve", lambda **_: pytest.fail("ran"))
+        assert main(["--config", str(cfg), "solve"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: config key %r names no option" % key]
 
     def test_bad_angle_exit_code(self, tmp_path):
         rc = main(["stability", "--methods", "erk4", "--rho", "pi*2",
@@ -503,6 +542,17 @@ class TestMain:
                    "--samples", "0.5,soon"])
         assert rc == 2
 
+    def test_far_sample_time_is_taken_at_the_end(self, tmp_path, monkeypatch):
+        # a finite time far beyond t_end is clamped, not an overflow
+        monkeypatch.setenv("EXPSTAB_CACHE_DIR", str(tmp_path / "cache"))
+        rc = main(["reference", "--problem", "zds", "--nx", "32", "--t-end",
+                   "1", "--method", "rk4", "--steps", "100",
+                   "--samples", "0.5,1e308"])
+        assert rc == 0
+        (entry,) = os.listdir(tmp_path / "cache")
+        meta, _ = read_spectrum(tmp_path / "cache" / entry / "snap-0001.txt")
+        assert meta["t"] == 1.0
+
     def test_reference_prebuilds_what_converge_reads(self, tmp_path,
                                                      monkeypatch):
         # `reference` and `converge` each spell out the ZDS reference
@@ -585,18 +635,30 @@ class TestMain:
         assert rc == 2
         assert os.listdir(tmp_path) == []
 
-    # each value passes the same checks as a flag and as a config line
+    # each value passes the same checks as a flag and as a config line.
+    # The ids of the three modification values below name the modification's
+    # kind (repartition or hyperviscosity) and its fields in short.
     BAD_VALUES = [
         ("solve", "nx", "100"), ("solve", "nx", "abc"),
         ("solve", "nx", "lots"), ("solve", "steps", "0"),
-        ("solve", "t_end", "-1"), ("solve", "repartition", "identity:rho=0.3"),
+        ("solve", "t_end", "-1"),
+        pytest.param("solve", "modification", "identity:rho=0.3",
+                     id="solve-repartition-identity:rho=0.3"),
         ("stability", "resolution", "0x5"), ("longtime", "n_samples", "0"),
         ("longtime", "n_samples", "30"), ("longtime", "runs", ";"),
+        ("longtime", "runs", "erk4;erk4:"),
         ("converge", "methods", ","), ("converge", "workers", "-3"),
         ("reference", "samples", "inf"), ("reference", "samples", "0.5,nan"),
         ("stability", "methods", ","), ("stability", "rho", ","),
-        ("reference", "samples", ","), ("converge", "hyperviscosity", "8:inf"),
-        ("solve", "repartition", "abs_k3:0.1:0.5"),
+        ("reference", "samples", ","),
+        pytest.param("converge", "modification",
+                     "hyperviscosity:m=8:gamma=inf",
+                     id="converge-hyperviscosity-8:inf"),
+        pytest.param("solve", "modification", "abs_k3:rho=0.1:eps=0.5",
+                     id="solve-repartition-abs_k3:0.1:0.5"),
+        ("converge", "modification", ""), ("solve", "modification", ""),
+        ("solve", "out", ""), ("converge", "out", ""), ("longtime", "out", ""),
+        ("stability", "out", ""),
         ("converge", "methods", "erk4,erk4"),
         ("stability", "methods", "erk4,epbm5,erk4"),
         ("stability", "rho", "0,0.0"), ("stability", "rho", "pi/2048,pi/2048"),
@@ -604,7 +666,7 @@ class TestMain:
     BASE = {"solve": {"nx": "32", "steps": "10", "t_end": "0.1"},
             "stability": {"methods": "erk4"},
             "longtime": {"nx": "32", "t_end": "0.5", "steps": "10",
-                         "ref_steps": "100"},
+                         "n_samples": "5", "ref_steps": "100"},
             "converge": {"nx": "32", "t_end": "0.5", "steps": "10,20",
                          "ref_steps": "200"},
             "reference": {"nx": "32", "t_end": "1", "method": "rk4",
@@ -652,10 +714,8 @@ class TestMain:
                                       command):
         # refused before the reference or any run, and no directory is made
         monkeypatch.setenv("EXPSTAB_CACHE_DIR", str(tmp_path / "cache"))
-        flags = dict(self.BASE[command], **(
-            {"n_samples": "5"} if command == "longtime" else {}))
         argv = [command, "--out", str(tmp_path / "absent" / "out.csv")]
-        for k, v in flags.items():
+        for k, v in self.BASE[command].items():
             argv += ["--" + k.replace("_", "-"), v]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("config error: cannot write")
@@ -677,6 +737,26 @@ class TestMain:
                    "--out", str(tmp_path / "c.csv")])
         assert rc == 2
         assert os.listdir(tmp_path) == []
+
+    def test_modification_label_round_trips(self, tmp_path, monkeypatch):
+        # --modification takes the describe() text of none and of each
+        # modification of the parity matrix, and the CSV writes it back
+        monkeypatch.setenv("EXPSTAB_CACHE_DIR", str(tmp_path / "cache"))
+        spec = importlib.util.spec_from_file_location("parity", os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            "tools", "parity.py"))
+        parity = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(parity)
+        csv = tmp_path / "c.csv"
+        for mod in parity._modifications(es):
+            label = "none" if mod is None else mod.describe()
+            assert main(["converge", "--problem", "zds", "--nx", "32",
+                         "--t-end", "0.5", "--methods", "erk4", "--steps",
+                         "10,20", "--ref-steps", "200", "--workers", "1",
+                         "--modification", label, "--out", str(csv)]) == 0
+            rows = [line.split(",") for line in
+                    csv.read_text().splitlines()[1:]]
+            assert [row[1] for row in rows] == [label, label]
 
     @pytest.mark.parametrize("problem, runs, ref_steps, rc", [
         ("kdv", "erk4;erk4:identity:eps=1", "2000", 0),

@@ -429,8 +429,8 @@ class TestHyperviscosity:
             es.parse_modification("hyperviscosity:m=8:gamma=1e10:q=3")
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("EXPSTAB_CACHE_DIR", str(tmp_path / "cache"))
-        assert es.main(["converge", "--hyperviscosity",
-                        "m=8:gamma=1e10:q=3"]) == 2
+        assert es.main(["converge", "--modification",
+                        "hyperviscosity:m=8:gamma=1e10:q=3"]) == 2
         assert os.listdir(tmp_path) == []
 
 
@@ -453,16 +453,18 @@ class TestParseModification:
         ("abs_k3:rho=pi/64", es.RepartitionSpec("abs_k3", rho=math.pi / 64)),
         ("identity:eps=8", es.RepartitionSpec("identity", epsilon=8.0)),
         ("k2:eps=0.5", es.RepartitionSpec("k2", epsilon=0.5)),
-        # a bare value is an epsilon for identity, an angle otherwise
-        ("identity:16", es.RepartitionSpec("identity", epsilon=16.0)),
-        ("k2:pi/3", es.RepartitionSpec("k2", rho=math.pi / 3)),
+        ("identity:eps=16", es.RepartitionSpec("identity", epsilon=16.0)),
+        ("k2:rho=pi/3", es.RepartitionSpec("k2", rho=math.pi / 3)),
         ("hyperviscosity:m=8:gamma=1e10", es.HyperviscositySpec(8, 1e10)),
-        ("hyperviscosity:4:1e6", es.HyperviscositySpec(4, 1e6)),
+        ("hyperviscosity:gamma=1e6:m=4", es.HyperviscositySpec(4, 1e6)),
     ])
     def test_accepts(self, s, spec):
         assert es.parse_modification(s) == spec
 
     @pytest.mark.parametrize("s", [
+        # every field is keyed: no value is named by its position
+        "identity:16", "k2:pi/3", "hyperviscosity:4:1e6",
+        "", "abs_k3:rho=pi/64:", "hyperviscosity", "abs_k3:m=8",
         "abs_k3", "bogus:rho=0.1", "k2:two", "k2:foo=1", "k2:0.1:0.2:0.3",
         "hyperviscosity:8", "hyperviscosity:5:1.0", "hyperviscosity:m=8.5:1",
         "hyperviscosity:m=8:q=3", "hyperviscosity:4:1e6:2",

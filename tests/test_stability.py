@@ -421,6 +421,20 @@ def test_region_grid_overflow_is_unstable(family):
     assert np.all(np.abs(grid.absR[:, 0] - 1.0) < 1e-12)
 
 
+@pytest.mark.parametrize("rho", [4.590188931608119e-293, 1e-300])
+def test_region_grid_subnormal_coupling(rho):
+    # an angle this small leaves EPBM5's transfer matrix with entries near
+    # 1e-293 beside entries of order 1; the Householder reduction makes a
+    # column of subnormals whose 1/s overflowed, and the QR iteration then
+    # raised "Eigenvalues did not converge"
+    grid = region_grid(EPBM5, (0.5, 0.5), (0.0, 0.0), (1, 1),
+                       RepartitionAngle(rho))
+    M = epbm_transfer_matrix(EPBM5, DahlquistPoint(0.5, 0.0),
+                             RepartitionAngle(rho))
+    want = np.max(np.abs(np.linalg.eigvals(M)))
+    assert abs(grid.absR[0, 0] - want) < 1e-13 * want
+
+
 def test_region_grid_validation():
     with pytest.raises(ValueError):
         region_grid(ERK4, (-1.0, 2.0), (0.0, 1.0), (2, 2))
