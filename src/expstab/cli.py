@@ -1,9 +1,10 @@
 """Experiment harness: reference management, convergence studies, long-time
 error tracking, stability maps, and single solves.
 
-A CLI flag wins over a line of the --config key=value file, and `_get`
-casts either once; an option given neither way keeps the `run_*` default.
-A config key must name an option of some command (exit 2 otherwise).
+Each option is declared once, in `_COMMANDS`: its flag, its config key and
+the parameter it fills.  A flag wins over a --config line, `_get` casts
+either once, and an option given neither way keeps its `_DEFAULTS` entry or
+else the library default.  A config key must name some command's option.
 The library checks every value, and `main` maps any ValueError to exit 2.
 Exit codes: 0 ok, 2 config error, 3 reference build failure or unreadable
 cache entry, 4 every requested run blew up.
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import functools
 import hashlib
 import math
 import os
@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .integrators import (FAMILIES, METHODS, make_method, integrate,
-                          integrate_many)
+                          integrate_many, nearest_step)
 from .spectral import (build_zds, build_kdv, parse_angle, parse_modification,
                        write_spectrum, read_spectrum)
 from . import stability as stab
@@ -68,7 +68,11 @@ class RunRecord:
 
 
 def relative_error(y: np.ndarray, y_ref: np.ndarray) -> float:
-    """max-norm relative error ||y_ref - y||_inf / ||y_ref||_inf."""
+    """max-norm relative error ||y_ref - y||_inf / ||y_ref||_inf of two
+    arrays of one shape (ValueError otherwise: no broadcasting)."""
+    if np.shape(y) != np.shape(y_ref):
+        raise ValueError("y has shape %s, y_ref has shape %s"
+                         % (np.shape(y), np.shape(y_ref)))
     ref = float(np.max(np.abs(y_ref)))
     if ref == 0.0:
         raise ValueError("reference has zero norm")
@@ -190,17 +194,20 @@ def _remove_stale_builds(entry: str) -> None:
 def ensure_reference(problem: str, nx: int, method: str, n_steps: int,
                      t_end: float, sample_times: Sequence[float]) -> list:
     """Return reference spectra at the given sample times, building and
-    caching on first use.  The cache entry is published atomically
+    caching on first use.  An entry is keyed by the steps it samples (each
+    time's `nearest_step`), not by the times asked for, so times that
+    sample the same steps share it.  It is published atomically
     (temp dir + rename), so a killed build never leaves a truncated entry;
     the temp dir is removed on every exit path, and one left by a build
     killed by a signal is removed by the next call for that entry."""
     sample_times = [float(s) for s in sample_times]
     if not sample_times:
         raise ConfigError("need at least one sample time")
-    payload = ("problem=%s nx=%d method=%s n=%d t_end=%s samples=%s code=%s "
+    steps = [nearest_step(s, 0.0, float(t_end), n_steps) for s in sample_times]
+    payload = ("problem=%s nx=%d method=%s n=%d t_end=%s steps=%s code=%s "
                "numpy=%s" % (problem, nx, method, n_steps, _fmt(t_end),
-                             ",".join(_fmt(s) for s in sample_times),
-                             _CODE_DIGEST, np.__version__))
+                             ",".join(map(str, steps)), _CODE_DIGEST,
+                             np.__version__))
     digest = hashlib.sha1(payload.encode()).hexdigest()[:16]
     entry = os.path.join(cache_dir(), "%s-nx%d-%s-n%d-%s"
                          % (problem, nx, method, n_steps, digest))
@@ -458,19 +465,18 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _cast(key: str, val, cast):
+def _get(args, cfg: dict, key: str, default=None, cast=str):
+    """CLI flag wins, then config file, then default; a value given either
+    way is cast once, and a cast that fails is a ConfigError."""
+    val = getattr(args, key, None)
+    if val is None and key in cfg:
+        val = cfg[key]
+    if val is None:
+        return default
     try:
         return cast(val)
     except (TypeError, ValueError) as e:
         raise ConfigError("bad value for %s: %s" % (key, e)) from None
-
-
-def _get(args, cfg: dict, key: str, default=None, cast=str):
-    """CLI flag wins, then config file, then default."""
-    val = getattr(args, key, None)
-    if val is None and key in cfg:
-        val = cfg[key]
-    return default if val is None else _cast(key, val, cast)
 
 
 def _list_of(cast):
@@ -490,9 +496,49 @@ def _runs(s: str) -> list:
             for name, colon, spec in items]
 
 
-def _given(**options) -> dict:
-    """The options that were given; the others keep the library defaults."""
-    return {key: val for key, val in options.items() if val is not None}
+# Each command's help line and options; an option (name, cast, parameter,
+# help) is a config key and its flag (- for _), cast into that parameter.
+_RUN = [("problem", str, "problem", None), ("nx", int, "nx", None),
+        ("t_end", float, "t_end", None)]
+_MODIFIED = _RUN + [("modification", parse_modification, "modification",
+                     "none|kind:key=value[:...]")]
+_STUDY = [("ref_method", str, "ref_method", None),        # converge, longtime
+          ("ref_steps", int, "ref_steps", None),
+          ("workers", int, "workers", None), ("out", str, "out_csv", None)]
+_COMMANDS = {
+    "stability": ("classified stability-region maps", [
+        ("methods", _list_of(str), "methods", None),
+        ("rho", _list_of(parse_angle), "rhos",
+         "comma list of angles (e.g. 0,pi/2048)"),
+        ("resolution", _resolution, "resolution", "N1xN2, default 600x200"),
+        ("k2_max", float, "k2_max", None), ("out", str, "out_dir", None)]),
+    "converge": ("fixed-step refinement study", _MODIFIED + _STUDY + [
+        ("methods", _list_of(str), "methods", None),
+        ("steps", _list_of(int), "steps", None)]),
+    "longtime": ("error-vs-time series", _RUN + _STUDY + [
+        ("steps", int, "n_steps", "single step count"),
+        ("runs", _runs, "runs", "semicolon list: method[:modspec];..."),
+        ("n_samples", int, "n_samples", None)]),
+    "solve": ("single run, snapshot output", _MODIFIED + [
+        ("method", str, "method", None), ("steps", int, "n_steps", None),
+        ("out", str, "out_path", None)]),
+    "reference": ("prebuild a cached reference", _RUN + [
+        ("method", str, "method", None), ("steps", int, "n_steps", None),
+        ("samples", _list_of(float), "sample_times",
+         "comma list of sample times")]),
+}
+
+# The CLI's own defaults, by parameter; see main and _dispatch for two more.
+_DEFAULTS = {
+    "stability": {"methods": ("erk4",), "rhos": (0.0,),
+                  "out_dir": "stability-maps"},
+    "converge": {"out_csv": "converge.csv"},
+    "longtime": {"out_csv": "longtime.csv"},
+    "solve": {"problem": "zds", "nx": 128, "method": "erk4", "n_steps": 1000,
+              "t_end": 40.0, "out_path": "solution.txt"},
+    "reference": {"problem": "zds", "nx": 128, "method": "rk4",
+                  "n_steps": 200000, "t_end": 40.0},
+}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -501,58 +547,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description="partitioned exponential integrator experiments")
     parser.add_argument("--config", help="key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
-    run = argparse.ArgumentParser(add_help=False)    # flags of every run
-    run.add_argument("--problem")
-    run.add_argument("--nx")
-    run.add_argument("--t-end")
-    modified = argparse.ArgumentParser(add_help=False, parents=[run])
-    modified.add_argument("--modification", help="none|kind:key=value[:...]")
-    study = argparse.ArgumentParser(add_help=False)  # converge and longtime
-    study.add_argument("--ref-method")
-    study.add_argument("--ref-steps")
-    study.add_argument("--workers")
-    study.add_argument("--out")
-
-    p = sub.add_parser("stability", help="classified stability-region maps")
-    p.add_argument("--methods")
-    p.add_argument("--rho", help="comma list of angles (e.g. 0,pi/2048)")
-    p.add_argument("--resolution", help="N1xN2, default 600x200")
-    p.add_argument("--k2-max")
-    p.add_argument("--out")
-
-    p = sub.add_parser("converge", parents=[modified, study],
-                       help="fixed-step refinement study")
-    p.add_argument("--methods")
-    p.add_argument("--steps")
-
-    p = sub.add_parser("longtime", parents=[run, study],
-                       help="error-vs-time series")
-    p.add_argument("--steps", help="single step count")
-    p.add_argument("--runs", help="semicolon list: method[:modspec];...")
-    p.add_argument("--n-samples")
-
-    p = sub.add_parser("solve", parents=[modified],
-                       help="single run, snapshot output")
-    p.add_argument("--method")
-    p.add_argument("--steps")
-    p.add_argument("--out")
-
-    p = sub.add_parser("reference", parents=[run],
-                       help="prebuild a cached reference")
-    p.add_argument("--method")
-    p.add_argument("--steps")
-    p.add_argument("--samples", help="comma list of sample times")
+    for cmd, (summary, options) in _COMMANDS.items():
+        p = sub.add_parser(cmd, help=summary)
+        for name, _, _, text in options:
+            p.add_argument("--" + name.replace("_", "-"), help=text)
 
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args.config) if args.config else {}
         # a key may name any command's option, so one file serves several
-        unknown = set(cfg).difference(*(vars(p.parse_args([]))
-                                        for p in sub.choices.values()))
+        unknown = set(cfg).difference(name for _, options in _COMMANDS.values()
+                                      for name, *_ in options)
         if unknown:
             raise ConfigError("config key %s names no option" % ", ".join(
                 map(repr, sorted(unknown))))
-        return _dispatch(args, cfg)
+        options = dict(_DEFAULTS[args.command])
+        if args.command in ("converge", "longtime"):    # read per call
+            options["workers"] = os.cpu_count() or 1
+        for name, cast, parameter, _ in _COMMANDS[args.command][1]:
+            value = _get(args, cfg, name, None, cast)
+            if value is not None:
+                options[parameter] = value
+        return _dispatch(args.command, options)
     except ReferenceFailure as e:
         print("reference failure: %s" % e, file=sys.stderr)
         return EXIT_REFERENCE
@@ -561,61 +577,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG
 
 
-def _dispatch(args, cfg) -> int:
-    cmd = args.command
-    get = functools.partial(_get, args, cfg)
+def _dispatch(cmd: str, options: dict) -> int:
+    """Run the function behind `cmd` on `options`: EXIT_ALL_BLOWUP if every
+    run it made blew up, else EXIT_OK."""
+    blowups = [False]       # stability and reference fail by raising
     if cmd == "stability":
-        run_stability_maps(
-            get("methods", ["erk4"], _list_of(str)),
-            get("rho", [0.0], _list_of(parse_angle)),
-            get("out", "stability-maps"),
-            **_given(resolution=get("resolution", None, _resolution),
-                     k2_max=get("k2_max", None, float)))
-        return EXIT_OK
-
-    if cmd in ("converge", "longtime"):     # the options the studies share
-        study = dict(workers=get("workers", os.cpu_count() or 1, int),
-                     out_csv=get("out", cmd + ".csv"),
-                     **_given(problem=get("problem"), nx=get("nx", None, int),
-                              t_end=get("t_end", None, float),
-                              ref_method=get("ref_method"),
-                              ref_steps=get("ref_steps", None, int)))
-
-    if cmd == "converge":
-        records = run_convergence(
-            modification=get("modification", None, parse_modification),
-            **study,
-            **_given(methods=get("methods", None, _list_of(str)),
-                     steps=get("steps", None, _list_of(int))))
-        return (EXIT_ALL_BLOWUP if all(r.status == "blowup" for r in records)
-                else EXIT_OK)
-
-    if cmd == "longtime":
-        series = run_longtime(
-            **study, **_given(n_steps=get("steps", None, int),
-                              runs=get("runs", None, _runs),
-                              n_samples=get("n_samples", None, int)))
-        return (EXIT_ALL_BLOWUP if all(rows and rows[-1][2] == "blowup"
-                                       for rows in series.values())
-                else EXIT_OK)
-
-    if cmd == "solve":
-        res = run_solve(
-            problem=get("problem", "zds"),
-            nx=get("nx", 128, int),
-            method=get("method", "erk4"),
-            n_steps=get("steps", 1000, int),
-            t_end=get("t_end", 40.0, float),
-            modification=get("modification", None, parse_modification),
-            out_path=get("out", "solution.txt"))
-        return EXIT_OK if res["ok"] else EXIT_ALL_BLOWUP
-
-    # "reference" (argparse admits no other command)
-    t_end = get("t_end", 40.0, float)
-    ensure_reference(get("problem", "zds"), get("nx", 128, int),
-                     get("method", "rk4"), get("steps", 200000, int),
-                     t_end, get("samples", [t_end], _list_of(float)))
-    return EXIT_OK
+        run_stability_maps(**options)
+    elif cmd == "converge":
+        blowups = [r.status == "blowup" for r in run_convergence(**options)]
+    elif cmd == "longtime":
+        blowups = [rows and rows[-1][2] == "blowup"
+                   for rows in run_longtime(**options).values()]
+    elif cmd == "solve":
+        blowups = [not run_solve(**options)["ok"]]
+    else:   # "reference" (argparse admits no other); samples default to t_end
+        o = options
+        ensure_reference(o["problem"], o["nx"], o["method"], o["n_steps"],
+                         o["t_end"], o.get("sample_times", [o["t_end"]]))
+    return EXIT_ALL_BLOWUP if all(blowups) else EXIT_OK
 
 
 if __name__ == "__main__":

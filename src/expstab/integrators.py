@@ -52,7 +52,7 @@ __all__ = [
     "esdc_tableau", "epbm_tableau", "imrk_tableau",
     "step_erk4", "step_esdc6", "step_epbm5", "step_imrk4", "step_rk4",
     "step_exp_euler", "epbm_initialize", "with_diagonals", "integrate",
-    "integrate_many", "IntegrationResult", "FAMILIES",
+    "integrate_many", "nearest_step", "IntegrationResult", "FAMILIES",
 ]
 
 _STARTUP_SUBSTEPS = 200    # Krogstad substeps per EPBM5 startup node gap
@@ -495,6 +495,31 @@ class IntegrationResult:
     samples: list    # [(t, y_hat), ...] aligned with requested sample_times
 
 
+def _step_size(t0: float, t1: float, n_steps) -> float:
+    """h = (t1 - t0) / n_steps; ValueError unless the span is finite and
+    increasing, n_steps a whole number >= 1, and h positive and finite."""
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError("t_span %r is not finite" % ((t0, t1),))
+    if not (t1 > t0) or n_steps % 1 != 0 or n_steps < 1:
+        raise ValueError("need t1 > t0 and a whole n_steps >= 1")
+    h = (t1 - t0) / int(n_steps)
+    if not 0 < h < math.inf:
+        raise ValueError("step size %r of t_span %r over %d steps is not "
+                         "positive and finite" % (h, (t0, t1), n_steps))
+    return h
+
+
+def nearest_step(s: float, t0: float, t1: float, n_steps) -> int:
+    """The step count m whose time t0 + m h, h = (t1 - t0) / n_steps, is
+    nearest to the sample time s; an s outside [t0, t1] is clamped to the
+    nearer end before it is divided by h.  ValueError unless s is finite,
+    or on a span and step count that `integrate_many` refuses."""
+    h = _step_size(t0, t1, n_steps)
+    if not math.isfinite(s):
+        raise ValueError("sample time %r is not finite" % (s,))
+    return int(round((min(max(s, t0), t1) - t0) / h))
+
+
 def integrate(problem, method: MethodSpec, y0: np.ndarray,
               t_span: tuple[float, float], n_steps: int, modification=None,
               sample_times: Optional[Sequence[float]] = None) -> IntegrationResult:
@@ -511,8 +536,8 @@ def integrate_many(problem, method: MethodSpec, y0: np.ndarray,
     """Fixed-step integration with blow-up detection and nearest-step
     sampling, one run per entry of `modifications`, all from y0 with one h.
     The span, y0 and every sample time must be finite, and h = (t1 - t0) /
-    n_steps positive and finite (ValueError before any step); a sample time
-    outside [t0, t1] is clamped to the nearer end before it is divided by h.
+    n_steps positive and finite (ValueError before any step); each sample
+    is taken at its `nearest_step`.
 
     Each modification (a spectral.RepartitionSpec or HyperviscositySpec, or
     None) is a pair of diagonals `modification.diagonals(problem, h)`; the
@@ -545,10 +570,7 @@ def integrate_many(problem, method: MethodSpec, y0: np.ndarray,
     """
     make_method(method.family)      # an unknown family raises ValueError
     t0, t1 = float(t_span[0]), float(t_span[1])
-    if not (math.isfinite(t0) and math.isfinite(t1)):
-        raise ValueError("t_span %r is not finite" % ((t0, t1),))
-    if not (t1 > t0) or n_steps % 1 != 0 or n_steps < 1:
-        raise ValueError("need t1 > t0 and a whole n_steps >= 1")
+    h = _step_size(t0, t1, n_steps)
     n_steps = int(n_steps)
     y0 = np.asarray(y0, dtype=np.complex128)
     L = problem.L_diag
@@ -564,19 +586,12 @@ def integrate_many(problem, method: MethodSpec, y0: np.ndarray,
     for mod in mods:
         if mod is not None and not hasattr(mod, "diagonals"):
             raise ValueError("modification %r has no diagonals()" % (mod,))
-    h = (t1 - t0) / n_steps
-    if not 0 < h < math.inf:
-        raise ValueError("step size %r of t_span %r over %d steps is not "
-                         "positive and finite" % (h, (t0, t1), n_steps))
     lag = 1 if method.block else 0
-    # map each requested sample time to the step whose output is nearest
     wants = [] if sample_times is None else [float(s) for s in sample_times]
     sample_at = {}
     for i, s in enumerate(wants):
-        if not math.isfinite(s):
-            raise ValueError("sample time %r is not finite" % (s,))
-        m = int(round((min(max(s, t0), t1) - t0) / h)) + lag
-        sample_at.setdefault(m, []).append(i)
+        sample_at.setdefault(nearest_step(s, t0, t1, n_steps) + lag,
+                             []).append(i)
     pairs = [(None, None) if mod is None else mod.diagonals(problem, h)
              for mod in mods]
     full = np.copy      # a state as it leaves: all of its Nx modes

@@ -87,7 +87,8 @@ def _probe(method: MethodSpec, k1, k2,
     the angle 0): R from y=1 for a one-step method, and for the block method
     the (..., 5, 5) transfer matrices, whose column j is the composite step
     of the j-th basis block.  L has the shape of k1, and so do the phi
-    coefficients on `problem.phis`, which every step and column share."""
+    coefficients on `problem.phis`, which every step and column share.
+    A step that overflows gives a non-finite entry, not a RuntimeWarning."""
     if angle is None:
         angle = RepartitionAngle(0.0)
     if angle.kind != "abs_k3":
@@ -97,14 +98,16 @@ def _probe(method: MethodSpec, k1, k2,
     shift = repartition_shift(L, angle)
     z2 = 1j * k2 - shift
     problem = DiagonalProblem(L_diag=L + shift, nonlinear=lambda t, y: z2 * y)
-    if not method.block:
-        y = np.ones(z2.shape, dtype=np.complex128)
-        return method.step(problem, 0.0, y, 1.0)
-    M = np.empty(z2.shape + (5, 5), dtype=np.complex128)
-    for col in range(5):
-        block = np.zeros((5,) + z2.shape, dtype=np.complex128)
-        block[col] = 1.0
-        M[..., col] = np.moveaxis(method.step(problem, 0.0, block, 1.0), 0, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not method.block:
+            y = np.ones(z2.shape, dtype=np.complex128)
+            return method.step(problem, 0.0, y, 1.0)
+        M = np.empty(z2.shape + (5, 5), dtype=np.complex128)
+        for col in range(5):
+            block = np.zeros((5,) + z2.shape, dtype=np.complex128)
+            block[col] = 1.0
+            M[..., col] = np.moveaxis(method.step(problem, 0.0, block, 1.0),
+                                      0, -1)
     return M
 
 
@@ -474,10 +477,9 @@ def region_grid(method: MethodSpec, k1_range: tuple[float, float],
         raise ValueError("k1 range must lie in [0, inf)")
     k1 = np.linspace(k1_range[0], k1_range[1], n1)
     k2 = np.linspace(k2_range[0], k2_range[1], n2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        R = _probe(method, k1[:, None], k2[None, :], angle)
-        absR = _spectral_radii(R) if method.block \
-            else np.where(np.isfinite(R), np.abs(R), np.inf)
+    R = _probe(method, k1[:, None], k2[None, :], angle)
+    absR = _spectral_radii(R) if method.block \
+        else np.where(np.isfinite(R), np.abs(R), np.inf)
     rho = 0.0 if angle is None else (
         angle.rho if angle.rho is not None else math.atan(angle.epsilon))
     return StabilityGrid(method=method.family, rho=rho,

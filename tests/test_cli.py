@@ -3,6 +3,7 @@ drivers, CSV outputs, and exit codes."""
 import importlib.util
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -144,6 +145,20 @@ def test_relative_error():
         relative_error(y, np.zeros(2))
 
 
+@pytest.mark.parametrize("shape, ref_shape", [((2, 8), (8,)), ((8,), (3, 8))])
+def test_relative_error_refuses_mismatched_shapes(shape, ref_shape):
+    # no broadcasting: each pair would read 0.0
+    with pytest.raises(ValueError, match=re.escape(
+            "y has shape %s, y_ref has shape %s" % (shape, ref_shape))):
+        relative_error(np.ones(shape), np.ones(ref_shape))
+
+
+def test_cache_dir_defaults_to_the_home_cache(tmp_path, monkeypatch):
+    monkeypatch.delenv("EXPSTAB_CACHE_DIR")
+    monkeypatch.setenv("HOME", str(tmp_path))
+    assert cli.cache_dir() == os.path.join(tmp_path, ".cache", "expstab")
+
+
 # --- reference cache ------------------------------------------------------------
 
 class TestEnsureReference:
@@ -162,6 +177,18 @@ class TestEnsureReference:
         for (a, b) in zip(got, again):
             assert a[0] == b[0]
             assert np.array_equal(a[1], b[1])
+
+    def test_times_that_sample_the_same_steps_share_an_entry(self, tmp_path,
+                                                             monkeypatch):
+        # h = 0.01: each list samples steps 50 and 100 (a far or overshooting
+        # time is taken at the end), so the three calls build one entry
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("EXPSTAB_CACHE_DIR", str(cache))
+        for times in ([0.5, 1.0], [0.5, 1e308], [0.5, 1.0000000001]):
+            got = ensure_reference("zds", 32, "rk4", 100, 1.0, times)
+            assert [t for t, _ in got] == pytest.approx([0.5, 1.0], abs=1e-15)
+        (entry,) = os.listdir(cache)
+        assert " steps=50,100 " in (cache / entry / "meta.txt").read_text()
 
     def test_key_names_numpy_version(self, tmp_path, monkeypatch):
         # N runs NumPy's own pocketfft, so another NumPy builds its own entry
@@ -258,12 +285,14 @@ class TestEnsureReference:
         dead = "%s.tmp.%d" % (entry, child.pid)
         live = "%s.tmp.%d" % (entry, os.getpid())
         other = entry + ".tmp.notapid"
-        for d in (dead, live, other):
+        out_of_range = entry + ".tmp.99999999999999999999"    # OverflowError
+        for d in (dead, live, other, out_of_range):
             os.makedirs(d)
         got = ensure_reference("zds", 32, "rk4", 500, 1.0, [1.0])
         assert len(got) == 1
         assert not os.path.exists(dead)
         assert os.path.isdir(live) and os.path.isdir(other)
+        assert os.path.isdir(out_of_range)
 
 
 # --- run drivers ----------------------------------------------------------------
@@ -449,6 +478,19 @@ class TestRunLongtime:
             with pytest.raises(ConfigError, match="workers"):
                 run_longtime(problem="kdv", nx=64, runs=[("erk4", None)],
                              n_steps=200, ref_steps=2000, workers=workers)
+
+
+@pytest.mark.parametrize("run, counts", [
+    (run_convergence, dict(steps=[10.5, 20])),
+    (run_longtime, dict(n_steps=10.5)),
+    (run_longtime, dict(n_samples=2.5)),
+])
+def test_fractional_counts_are_refused(tmp_path, monkeypatch, run, counts):
+    # the CLI's int() refuses these first; a library call reaches the check
+    monkeypatch.setenv("EXPSTAB_CACHE_DIR", str(tmp_path / "cache"))
+    with pytest.raises(ConfigError, match="must be a whole number"):
+        run(**counts)
+    assert not (tmp_path / "cache").exists()
 
 
 def test_run_stability_maps(tmp_path):
@@ -662,6 +704,7 @@ class TestMain:
         ("converge", "methods", "erk4,erk4"),
         ("stability", "methods", "erk4,epbm5,erk4"),
         ("stability", "rho", "0,0.0"), ("stability", "rho", "pi/2048,pi/2048"),
+        ("reference", "steps", "0"), ("reference", "t_end", "0"),
     ]
     BASE = {"solve": {"nx": "32", "steps": "10", "t_end": "0.1"},
             "stability": {"methods": "erk4"},

@@ -104,6 +104,13 @@ class TestIMRKTableau:
         # stiffly accurate: last implicit row equals the weights
         assert np.array_equal(tab.A_implicit[5], tab.b)
 
+    def test_gamma_needs_one_shared_diagonal_entry(self):
+        tab = imrk_tableau()
+        AI = tab.A_implicit.copy()
+        AI[3, 3] = 0.3
+        with pytest.raises(ValueError, match="diagonal entry"):
+            dataclasses.replace(tab, A_implicit=AI).gamma
+
     def test_consistency_conditions(self):
         tab = imrk_tableau()
         assert np.allclose(tab.A_implicit.sum(axis=1), tab.c, rtol=0, atol=1e-13)
@@ -265,6 +272,19 @@ def test_sampling_nearest_step():
     ends = integrate(prob, make_method("rk4"), np.array([1.0 + 0j]),
                      (0.0, 1.0), 10, sample_times=[-0.5, 1.0 + 1e-12])
     assert [s[0] for s in ends.samples] == pytest.approx([0.0, 1.0], abs=1e-14)
+
+
+def test_nearest_step():
+    # clamped to the span before the division by h; the span and the step
+    # count are checked before it, so a zero span is no ZeroDivisionError
+    assert [integrators.nearest_step(s, 0.0, 1.0, 10)
+            for s in (-0.5, 0.0, 0.33, 1.0 + 1e-12, 1e308)] == [0, 0, 3, 10, 10]
+    for s, t1, n_steps, match in [(math.nan, 1.0, 10, "sample time"),
+                                  (0.5, 0.0, 10, "t1 > t0"),
+                                  (0.5, 1.0, 0, "n_steps >= 1"),
+                                  (0.5, 1.0, 2.5, "whole")]:
+        with pytest.raises(ValueError, match=match):
+            integrators.nearest_step(s, 0.0, t1, n_steps)
 
 
 @pytest.mark.parametrize("times", [[0.0], [0.0, 0.33, 1.0]])

@@ -2,6 +2,7 @@
 factors, transfer matrices, grid classification, split detection, and the
 explicit-coupling decay bound."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -419,6 +420,18 @@ def test_region_grid_overflow_is_unstable(family):
     assert np.all(grid.absR[:, 1:] == np.inf)
     assert np.all(grid.classification[:, 1:] == "unstable")
     assert np.all(np.abs(grid.absR[:, 0] - 1.0) < 1e-12)
+
+
+@pytest.mark.parametrize("family", ["erk4", "esdc6", "epbm5", "imrk4", "rk4"])
+def test_point_probe_overflow_is_silent(family):
+    # the point probes overflow at k2 = 1e200 as the grid's do (exp_euler's
+    # one product does not), and give a non-finite result with no warning
+    method = make_method(family)
+    probe = epbm_transfer_matrix if method.block else stability_scalar
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = probe(method, DahlquistPoint(1.0, 1e200))
+    assert not np.isfinite(got).all()
 
 
 @pytest.mark.parametrize("rho", [4.590188931608119e-293, 1e-300])
